@@ -3,11 +3,11 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload train_full --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload train_full --seed 1 --seconds 40 --trace 0
 
 With --trace 0 it prints the end-to-end metrics; with --trace 1 it runs the
-workload's main pass once untraced and once traced and prints per-layer
-metrics. The last line of standard output is one JSON object with the keys
+training, inference and prepare passes once untraced and once traced and
+prints per-layer metrics. The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics. The environment, the metrics and, for
 traced runs, every span go to .bench_results/ under the repository root.
 See perfbench/README.md for the workloads and what each metric means.
@@ -31,29 +31,35 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 SRC = REPO / "src"
 
-# Work per run is sized for about NOMINAL_SECONDS on 2 cores and scales with
-# --seconds. It is a fixed amount of work rather than a deadline, so a traced
-# pass repeats the untraced one exactly and the final loss repeats per seed.
-NOMINAL_SECONDS = 15
+# Work per run is sized for about NOMINAL_SECONDS on 2 cores, set-ups
+# included, and scales with --seconds. It is a fixed amount of work rather
+# than a deadline, so a traced pass repeats the untraced one exactly and the
+# final loss repeats per seed.
+NOMINAL_SECONDS = 40
 SETUP_REPS = 3
-SESSIONS = 30  # the default synth set
-PREPARE_SESSIONS = 60  # long enough for every prepare stage to be steady
+SESSIONS = 30  # the default synth set; every set-up and prepare pass uses it
 TINY_SESSIONS = 4
-TINY_PREPARE_SESSIONS = 6
+TINY_SINGLE_CALLS = 10
+PREDICTS_PER_SHARE = 2
 
 
 @dataclass(frozen=True)
 class Workload:
+    """One model configuration. Every run of it trains, infers and prepares data.
+
+    Training runs for `epochs` epochs. Before the first epoch and after each
+    one comes a share of the other work: `single_calls` single-clip forwards,
+    PREDICTS_PER_SHARE batched predicts over the test split, one prepare
+    pipeline of the default synth set and, in the first shares, the repeated
+    set-ups.
+    """
+
     name: str
     why: str
-    main: str  # the pass that gets most of the run and is traced: train, infer or prepare
     variant: str
     K: int
     epochs: int  # training epochs at NOMINAL_SECONDS
-    single_calls: int  # single-clip forwards at NOMINAL_SECONDS
-    predict_calls: int  # batched predicts over the test split at NOMINAL_SECONDS
-    prepare_reps: int = 3  # prepare pipelines at NOMINAL_SECONDS, besides the set-ups
-    prepare_sessions: int = SESSIONS
+    single_calls: int  # single-clip forwards per share, about one second's worth
 
 
 WORKLOADS = {
@@ -62,36 +68,26 @@ WORKLOADS = {
         Workload(
             "train_full",
             "paper setting (full, K=1, batch 512): graph and LSTM share the step, so an LSTM change shows here",
-            "train", "full", 1, epochs=3, single_calls=1000, predict_calls=3,
+            "full", 1, epochs=5, single_calls=200,
         ),
         Workload(
             "train_base_k5",
             "car view only, no LSTM, K=5: graph is ~99% of the step; shows graph changes, bypasses LSTM changes",
-            "train", "base", 5, epochs=5, single_calls=1000, predict_calls=3,
-        ),
-        Workload(
-            "infer_stream",
-            "full K=1 forward only: one caller sends one clip per call, where per-call Python overhead beats BLAS",
-            "infer", "full", 1, epochs=2, single_calls=2000, predict_calls=6,
-        ),
-        Workload(
-            "prepare",
-            "synth, logs, build_dataset, save and reload of 60 sessions as main and traced pass: moves with synth and ingest",
-            "prepare", "base", 1, epochs=2, single_calls=1000, predict_calls=3, prepare_sessions=PREPARE_SESSIONS,
+            "base", 5, epochs=6, single_calls=1200,
         ),
     )
 }
 
 # (name, unit, better, bound)
-# Bounds follow the spread measured over ten seeds on a shared 2-core host,
-# whose speed flips between two levels (about 1.5x apart) every second or two:
-# timings move by 10-25% from run to run there, with the share of time spent
-# at each level. The loss moves with the seed's data by up to 4%.
+# Bounds follow the spread measured over ten seeds on a shared 2-core host
+# whose speed moves by up to 1.5x from one minute to the next. Times are
+# rescaled to the host's speed (phases.normalized), yet still spread by up to
+# about 15% between runs. The loss moves with the seed's data by a few percent.
 END_TO_END = (
     ("setup_s", "s", "lower", 0.25),
     ("train_clips_per_s", "clips/s", "higher", 0.25),
     ("train_loss_final", "nats", "lower", 0.15),
-    ("infer_ms_p75", "ms", "lower", 0.25),
+    ("infer_ms_p50", "ms", "lower", 0.25),
     ("infer_ms_p90", "ms", "lower", 0.25),
     ("eval_clips_per_s", "clips/s", "higher", 0.25),
     ("synth_s", "s", "lower", 0.25),
@@ -128,24 +124,21 @@ PER_LAYER = _per_layer()
 @dataclass(frozen=True)
 class Sizes:
     sessions: int
-    prepare_sessions: int
     epochs: int
-    single_calls: int
-    predict_calls: int
-    prepare_reps: int
+    single_calls: int  # per share
+
+    @property
+    def shares(self) -> int:
+        return self.epochs + 1
 
 
-def sizes_for(workload: Workload, seconds: int, tiny: bool) -> Sizes:
-    scale = seconds / NOMINAL_SECONDS
+def sizes_for(workload: Workload, seconds: int, tiny: bool, traced: bool) -> Sizes:
+    """A traced run does its passes twice, untraced and traced, so each at half size."""
+    scale = seconds / NOMINAL_SECONDS / (2 if traced else 1)
     return Sizes(
         sessions=TINY_SESSIONS if tiny else SESSIONS,
-        prepare_sessions=(TINY_PREPARE_SESSIONS if workload.prepare_sessions > SESSIONS else TINY_SESSIONS)
-        if tiny
-        else workload.prepare_sessions,
         epochs=max(1, round(workload.epochs * scale)),
-        single_calls=max(10, round(workload.single_calls * scale)),
-        predict_calls=max(1, round(workload.predict_calls * scale)),
-        prepare_reps=max(1, round(workload.prepare_reps * scale)),
+        single_calls=TINY_SINGLE_CALLS if tiny else workload.single_calls,
     )
 
 
@@ -211,77 +204,84 @@ def environment() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def main_pass(phases, workload: Workload, setup, sizes: Sizes, seed: int, workdir: Path, tally):
-    """A zero-argument callable doing the workload's main pass, the part a traced run traces."""
-    if workload.main == "train":
-        return lambda: phases.train_pass(setup.dataset, setup.params, sizes.epochs, seed, tally)
-    if workload.main == "infer":
-        infer = phases.Inference(setup.dataset, setup.params, seed, tally)
-        return lambda: infer.run(sizes.single_calls, sizes.predict_calls)
-    return lambda: [phases.prepare_pass(workdir, sizes.prepare_sessions, seed, tally) for _ in range(sizes.prepare_reps)]
-
-
-def share(total: int, k: int, parts: int) -> int:
-    """The k-th of `parts` near-equal shares of `total`."""
-    return (k + 1) * total // parts - k * total // parts
-
-
 def end_to_end(phases, setup, set_up, import_s: float, sizes: Sizes, seed: int, workdir: Path, tally):
     """Every end-to-end metric from one interleaved run; (metrics, raw samples).
 
-    The run trains for `sizes.epochs` epochs. The remaining set-up
-    repetitions, the inference calls and the prepare repetitions are split
-    into one share before the first epoch and one after each epoch, so that
-    every metric samples the whole run and a slow spell of a shared machine
-    does not land on one metric alone. `setup` is the first set-up and
-    `set_up` repeats it. synth_s and prepare_s are means over the prepare
-    repetitions, and over the set-ups too when those prepare as many sessions.
+    The run trains for `sizes.epochs` epochs, with one share of the other
+    work before the first epoch and one after each epoch, outside the epoch
+    timer (see Workload). So every metric samples the whole run. `setup` is
+    the first set-up and `set_up` repeats it.
+
+    Every time is rescaled to the host's speed (phases.normalized). The
+    reference is measured at the start and the end of every share. Work in a
+    share is rescaled by the mean of its two; an epoch by the mean of the end
+    of the share before it and the start of the share after it; a set-up by
+    the references it measures around itself. Stage times are medians over
+    the set-ups and the prepare passes, which all prepare the same sessions.
     """
-    timings = [(setup.seconds, setup.stages)]
+    import numpy as np
+
+    setups = [setup]
     infer = phases.Inference(setup.dataset, setup.params, seed, tally)
     prepared = []
-    parts = sizes.epochs + 1
-    shares = iter(range(parts))
+    share_refs = []  # (start, end) reference time of every share
 
     def next_share() -> None:
-        k = next(shares)
-        for _ in range(share(SETUP_REPS - 1, k, parts)):
-            again = set_up()
-            timings.append((again.seconds, again.stages))
-        infer.run(share(sizes.single_calls, k, parts), share(sizes.predict_calls, k, parts))
-        for _ in range(share(sizes.prepare_reps, k, parts)):
-            prepared.append(phases.prepare_pass(workdir, sizes.prepare_sessions, seed, tally)[0])
+        start = phases.reference_s()
+        if len(setups) < SETUP_REPS:
+            setups.append(set_up())
+        infer.run(sizes.single_calls, PREDICTS_PER_SHARE)
+        prepared.append(phases.prepare_pass(workdir, sizes.sessions, seed, tally)[0])
+        share_refs.append((start, phases.reference_s()))
 
     next_share()
-    values, epoch_s = phases.train_pass(setup.dataset, setup.params, sizes.epochs, seed, tally, after_epoch=next_share)
-    values.update(infer.metrics())
-    if sizes.prepare_sessions == sizes.sessions:
-        prepared += [stages for _, stages in timings]
+    loss, epoch_s = phases.train_pass(setup.dataset, setup.params, sizes.epochs, seed, tally, after_epoch=next_share)
+    in_share = np.array([(start + end) / 2 for start, end in share_refs])
+    values = {"train_loss_final": loss} if loss is not None else {}
+    if epoch_s:
+        epoch_refs = np.array([(share_refs[k][1] + share_refs[k + 1][0]) / 2 for k in range(len(epoch_s))])
+        values["train_clips_per_s"] = len(setup.dataset.train_idx) * len(epoch_s) / phases.normalized(np.array(epoch_s), epoch_refs).sum()
+    values.update(infer.metrics(np.repeat(in_share, sizes.single_calls), np.repeat(in_share, PREDICTS_PER_SHARE)))
+    stages = [(s, ref) for s, ref in zip(prepared, in_share)] + [(s.stages, s.reference) for s in setups]
     for key in ("synth_s", "prepare_s"):
-        values[key] = statistics.mean(s[key] for s in prepared)
-    values["setup_s"] = import_s + statistics.median(seconds for seconds, _ in timings)
+        values[key] = statistics.median(phases.normalized(s[key], ref) for s, ref in stages)
+    values["setup_s"] = import_s + statistics.median(phases.normalized(s.seconds, s.reference) for s in setups)
     values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     samples = {
-        "setup_s": [seconds for seconds, _ in timings],
-        "stages": prepared,
+        "setup_s": [s.seconds for s in setups],
+        "setup_refs": [s.reference for s in setups],
+        "stages": [s.stages for s in setups] + prepared,
         "epoch_s": epoch_s,
+        "share_refs": share_refs,
         "infer_ms": infer.latencies_ms,
         "predict_s": infer.predict_s,
     }
     return values, samples
 
 
-def per_layer(phases, tracer, workload: Workload, setup, sizes: Sizes, seed: int, workdir: Path, tally):
-    untraced_pass = main_pass(phases, workload, setup, sizes, seed, workdir, tally)
-    traced_pass = main_pass(phases, workload, setup, sizes, seed, workdir, tally)
+def sequential_pass(phases, setup, sizes: Sizes, seed: int, workdir: Path, tally) -> None:
+    """The work of one run's shares and epochs, one kind after the other, for tracing."""
+    phases.train_pass(setup.dataset, setup.params, sizes.epochs, seed, tally)
+    infer = phases.Inference(setup.dataset, setup.params, seed, tally)
+    infer.run(sizes.single_calls * sizes.shares, PREDICTS_PER_SHARE * sizes.shares)
+    for _ in range(sizes.shares):
+        phases.prepare_pass(workdir, sizes.sessions, seed, tally)
+
+
+def per_layer(phases, tracer, setup, sizes: Sizes, seed: int, workdir: Path, tally):
+    """The sequential pass untraced, then traced; (per-layer metrics, spans, missing hooks).
+
+    It runs one kind of work after the other rather than interleaved, so that
+    no span of `train.train` contains the work done between epochs.
+    """
     started = time.perf_counter()
-    untraced_pass()
+    sequential_pass(phases, setup, sizes, seed, workdir, tally)
     untraced = time.perf_counter() - started
     tr = tracer.Tracer()
     tr.install()
     try:
         with tr.span("bench.pass"):
-            traced_pass()
+            sequential_pass(phases, setup, sizes, seed, workdir, tally)
     finally:
         tr.uninstall()
     spans = tr.spans
@@ -292,8 +292,7 @@ def per_layer(phases, tracer, workload: Workload, setup, sizes: Sizes, seed: int
         for key, value in summary[name].items():
             values[f"{name}.{key}"] = value
     dataset = setup.dataset
-    fed = {"train": dataset.train_idx, "infer": dataset.test_idx}.get(workload.main, slice(None))
-    for view, frac in phases.real_slot_fraction(dataset, fed).items():
+    for view, frac in phases.real_slot_fraction(dataset, dataset.train_idx).items():
         values[f"graph.real_slot_frac.{view}"] = frac
     values["model.forward_cache_mb"] = phases.forward_cache_mb(dataset, setup.params)
     values["ingest.anchor_yield"] = len(dataset) / setup.anchors
@@ -310,7 +309,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=int, default=NOMINAL_SECONDS)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--tiny", action="store_true", help="4-session data set, for the self-test")
+    p.add_argument("--tiny", action="store_true", help="4-session data set and few calls, for the self-test")
     p.add_argument("--out", default=str(REPO / ".bench_results"), help="directory for result and span files")
     args = p.parse_args(argv)
     if args.seconds < 1:
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
 
     import_s = time.perf_counter() - started
     workload = WORKLOADS[args.workload]
-    sizes = sizes_for(workload, args.seconds, args.tiny)
+    sizes = sizes_for(workload, args.seconds, args.tiny, bool(args.trace))
     tally = phases.Tally()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
 
         setup = set_up()
         if args.trace:
-            metrics, spans, missing = per_layer(phases, tracer, workload, setup, sizes, args.seed, workdir, tally)
+            metrics, spans, missing = per_layer(phases, tracer, setup, sizes, args.seed, workdir, tally)
             with open(out / f"spans_{stem}.jsonl", "w", encoding="utf-8") as handle:
                 for span in spans:
                     handle.write(json.dumps(span) + "\n")
