@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .types import Action, CategoryQuota, Clip, FrameDetections, SensorSample  # noqa: F401
+from .types import Action, CategoryQuota, FrameDetections, SensorSample  # noqa: F401

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,7 +20,7 @@ from .evaluation import (
     write_loss_curves,
     write_results_table,
 )
-from .ingest import ClipDataset, build_dataset, downsample, read_detection_log, read_sensor_log
+from .ingest import ClipDataset, build_dataset, load_sessions
 from .model import (
     ModelConfig,
     init_params,
@@ -66,16 +67,22 @@ def _parse_quota(text: str) -> CategoryQuota:
     return CategoryQuota(int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    if args.config:
-        config = SynthConfig.from_json(Path(args.config).read_text())
-        if args.seed is not None:
-            config = SynthConfig.from_json(
-                json.dumps({**json.loads(config.to_json()), "seed": args.seed})
-            )
-    else:
-        config = SynthConfig(seed=args.seed if args.seed is not None else 0)
-    out = Path(args.out)
+def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
+    config = SynthConfig.from_json(Path(path).read_text()) if path else SynthConfig()
+    return config if seed is None else dataclasses.replace(config, seed=seed)
+
+
+def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> TrainConfig:
+    """TrainConfig from an optional JSON file, then the --batch-size/--max-epochs/--step-size flags."""
+    overrides = json.loads(Path(path).read_text()) if path else {}
+    overrides.setdefault("seed", seed)
+    for name in ("batch_size", "max_epochs", "step_size"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    return TrainConfig(**overrides)
+
+
+def run_synth(config: SynthConfig, out: Path) -> None:
     result = generate(config)
     det_path, sen_path = write_logs(result, out)
     _write_manifest(
@@ -86,27 +93,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         {"detections": det_path, "sensors": sen_path},
     )
     print(f"wrote {det_path} and {sen_path} ({config.sessions} sessions)")
-    return 0
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
-    logs = Path(args.logs)
-    detections = read_detection_log(logs / "detections.jsonl")
-    sensor_log = read_sensor_log(logs / "sensors.jsonl")
-    quota = _parse_quota(args.quota)
-    seed = args.seed if args.seed is not None else 0
-    sessions = {}
-    for name, frames in detections.items():
-        if name not in sensor_log:
-            raise SpeedcastError(f"session {name!r} has detections but no sensor rows")
-        frames = downsample(frames, args.source_fps, args.target_fps)
-        kept = {f.frame_index for f in frames}
-        sensors = [s for s in sensor_log[name] if s.frame_index in kept]
-        sessions[name] = (frames, sensors)
-    dataset = build_dataset(
-        sessions, T=args.T, FT=args.FT, quota=quota, seed=derive_seed(seed, "split")
-    )
-    out = Path(args.out)
+def run_prepare(
+    logs: Path,
+    out: Path,
+    T: int,
+    FT: int,
+    quota: CategoryQuota,
+    seed: int,
+    source_fps: float,
+    target_fps: float,
+) -> None:
+    sessions = load_sessions(logs, source_fps, target_fps)
+    dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=derive_seed(seed, "split"))
     out.mkdir(parents=True, exist_ok=True)
     archive = out / "clips.npz"
     dataset.save(archive)
@@ -116,11 +116,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         out,
         "prepare",
         {
-            "T": args.T,
-            "FT": args.FT,
+            "T": T,
+            "FT": FT,
             "quota": [quota.n_car, quota.n_pedestrian, quota.n_traffic],
-            "source_fps": args.source_fps,
-            "target_fps": args.target_fps,
+            "source_fps": source_fps,
+            "target_fps": target_fps,
         },
         seed,
         {"clips": archive},
@@ -130,42 +130,21 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     print(f"clips: {len(dataset)}  splits: {len(dataset.train_idx)}/{len(dataset.val_idx)}/{len(dataset.test_idx)}")
     for name, total, tr in zip(ACTION_NAMES, hist, train_hist):
         print(f"  {name}: {total} total, {tr} in oversampled train")
-    return 0
 
 
-def _train_config(args: argparse.Namespace, seed: int) -> TrainConfig:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    overrides.setdefault("seed", seed)
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.max_epochs is not None:
-        overrides["max_epochs"] = args.max_epochs
-    if args.step_size is not None:
-        overrides["step_size"] = args.step_size
-    return TrainConfig(**overrides)
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    dataset = ClipDataset.load(args.archive)
-    seed = args.seed if args.seed is not None else 0
-    config = ModelConfig(
-        T=dataset.T,
-        FT=dataset.FT,
-        K=args.K,
-        quota=dataset.quota,
-        variant=args.variant,
-    )
-    params = init_params(config, seed=derive_seed(seed, "init", args.variant))
-    train_config = _train_config(args, derive_seed(seed, "train", args.variant))
+def run_train(
+    archive: Path, out: Path, variant: str, K: int, seed: int, train_config: TrainConfig, quiet: bool
+) -> int:
+    """Train one variant on an archive; exit code 4 when a numeric fault aborted training."""
+    dataset = ClipDataset.load(archive)
+    config = ModelConfig(T=dataset.T, FT=dataset.FT, K=K, quota=dataset.quota, variant=variant)
+    params = init_params(config, seed=derive_seed(seed, "init", variant))
     best, report = train(
         dataset,
         params,
         train_config,
-        progress=(None if args.quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")),
+        progress=(None if quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")),
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(best, ckpt)
@@ -190,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "train",
-        {"variant": config.variant, "K": args.K, "train": vars(train_config)},
+        {"variant": config.variant, "K": K, "train": vars(train_config)},
         seed,
         {"checkpoint": ckpt, "report": report_path, "metrics": metrics_path},
     )
@@ -201,10 +180,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 4 if report.aborted else 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    dataset = ClipDataset.load(args.archive)
-    params = load_checkpoint(args.checkpoint)
-    idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}[args.split]
+def run_eval(archive: Path, checkpoint: Path, split: str) -> None:
+    dataset = ClipDataset.load(archive)
+    params = load_checkpoint(checkpoint)
+    idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}[split]
     feats, mask, labels = dataset.subset(idx)
     metrics = evaluate(params, feats, mask, labels)
     timing = measure_inference(params, feats, mask)
@@ -212,24 +191,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"recall {name}: " + ("undefined" if recall is None else f"{recall:.2f}"))
     print(f"accuracy: {metrics.accuracy:.2f}")
     print(f"inference: {timing['per_clip_us']:.1f} us/clip over {len(labels)} clips")
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    run_synth(_synth_config(args.config, args.seed), Path(args.out))
+    return 0
+
+
+def cmd_prepare(args: argparse.Namespace) -> int:
+    run_prepare(
+        Path(args.logs), Path(args.out), args.T, args.FT, _parse_quota(args.quota),
+        args.seed, args.source_fps, args.target_fps,
+    )
+    return 0
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    train_config = _train_config(args.config, args, derive_seed(args.seed, "train", args.variant))
+    return run_train(Path(args.archive), Path(args.out), args.variant, args.K, args.seed, train_config, args.quiet)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    run_eval(Path(args.archive), Path(args.checkpoint), args.split)
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    logs = Path(args.logs)
-    detections = read_detection_log(logs / "detections.jsonl")
-    sensor_log = read_sensor_log(logs / "sensors.jsonl")
-    sessions = {name: (frames, sensor_log[name]) for name, frames in detections.items()}
-    seed = args.seed if args.seed is not None else 0
+    sessions = load_sessions(args.logs)
     sweep = SweepSpec(
         T_set=tuple(args.T),
         FT_set=tuple(args.FT),
         K_set=tuple(args.K),
         variants=tuple(args.variant),
         quotas=(_parse_quota(args.quota),),
-        seeds=(seed,),
+        seeds=(args.seed,),
     )
-    train_config = _train_config(args, seed)
+    train_config = _train_config(args.config, args, args.seed)
     results = run_ablation(sessions, sweep, train_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,7 +238,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         out,
         "ablate",
         {"T": args.T, "FT": args.FT, "K": args.K, "variants": args.variant},
-        seed,
+        args.seed,
         {"results": table, "loss_curves": curves},
     )
     failures = [c for c in results if c.error]
@@ -252,7 +249,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
     config = ModelConfig(
         T=3,
         FT=1,
@@ -263,8 +259,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         mlp_widths=(8, 8),
         variant="full",
     )
-    params = init_params(config, seed=derive_seed(seed, "gradcheck"))
-    rng = np.random.default_rng(derive_seed(seed, "gradcheck-data"))
+    params = init_params(config, seed=derive_seed(args.seed, "gradcheck"))
+    rng = np.random.default_rng(derive_seed(args.seed, "gradcheck-data"))
     # Check at a generic point: zero-initialized biases can leave rectifier
     # pre-activations exactly at the kink, where the one-sided finite
     # difference disagrees with the subgradient by construction.
@@ -291,52 +287,22 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Chain synth -> prepare -> train -> eval into one run directory."""
     out = Path(args.out)
-    seed = args.seed if args.seed is not None else 0
-    ns = argparse.Namespace(
-        config=args.synth_config, seed=seed, out=str(out / "logs")
+    quota = _parse_quota(args.quota)
+    train_config = _train_config(args.train_config, args, derive_seed(args.seed, "train", args.variant))
+    run_synth(_synth_config(args.synth_config, args.seed), out / "logs")
+    run_prepare(
+        out / "logs", out / "dataset", args.T, args.FT, quota, args.seed, args.source_fps, args.target_fps
     )
-    rc = cmd_synth(ns)
+    archive = out / "dataset" / "clips.npz"
+    rc = run_train(archive, out / "model", args.variant, args.K, args.seed, train_config, args.quiet)
     if rc:
         return rc
-    ns = argparse.Namespace(
-        logs=str(out / "logs"),
-        out=str(out / "dataset"),
-        T=args.T,
-        FT=args.FT,
-        quota=args.quota,
-        seed=seed,
-        source_fps=args.source_fps,
-        target_fps=args.target_fps,
-    )
-    rc = cmd_prepare(ns)
-    if rc:
-        return rc
-    ns = argparse.Namespace(
-        archive=str(out / "dataset" / "clips.npz"),
-        out=str(out / "model"),
-        variant=args.variant,
-        K=args.K,
-        seed=seed,
-        config=args.train_config,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        step_size=args.step_size,
-        quiet=args.quiet,
-    )
-    rc = cmd_train(ns)
-    if rc:
-        return rc
-    ns = argparse.Namespace(
-        archive=str(out / "dataset" / "clips.npz"),
-        checkpoint=str(out / "model" / "checkpoint.npz"),
-        split="test",
-    )
-    return cmd_eval(ns)
+    run_eval(archive, out / "model" / "checkpoint.npz", "test")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="speedcast", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="reserved; computation is single-process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic detection and sensor logs")
@@ -351,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=10)
     p.add_argument("--FT", type=int, default=1)
     p.add_argument("--quota", default="20,10,10", help="car,ped,traffic slot counts")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--source-fps", type=float, default=3.0, dest="source_fps")
     p.add_argument("--target-fps", type=float, default=3.0, dest="target_fps")
     p.set_defaults(func=cmd_prepare)
@@ -361,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", default="full")
     p.add_argument("--K", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="train config JSON file")
     p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
@@ -383,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, nargs="+", default=[1])
     p.add_argument("--variant", nargs="+", default=["base", "base_single", "base_multi", "base_t", "full"])
     p.add_argument("--quota", default="20,10,10")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="train config JSON file")
     p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
@@ -391,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("pipeline", help="synth + prepare + train + eval in one run")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--synth-config", default=None, dest="synth_config")
     p.add_argument("--train-config", default=None, dest="train_config")
     p.add_argument("--T", type=int, default=10)

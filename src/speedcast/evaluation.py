@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -165,14 +166,12 @@ def run_ablation(
     sessions: dict[str, tuple[list[FrameDetections], list[SensorSample]]],
     sweep: SweepSpec,
     train_config: TrainConfig,
-    model_defaults: Optional[ModelConfig] = None,
 ) -> list[CellResult]:
     """Train and evaluate every sweep cell independently from a fresh seeded init.
 
     Clip datasets are assembled once per distinct (T, FT, quota) and shared;
     a failed cell is recorded and the sweep continues.
     """
-    defaults = model_defaults or ModelConfig()
     dataset_cache: dict[tuple, ClipDataset] = {}
     results: list[CellResult] = []
     for variant, t, ft, k, quota, seed in sweep.cells():
@@ -189,31 +188,9 @@ def run_ablation(
                 )
             dataset = dataset_cache[data_key]
             cell_seed = derive_seed(train_config.seed, variant, t, ft, k, quota, seed)
-            config = ModelConfig(
-                T=t,
-                FT=ft,
-                K=k,
-                quota=quota,
-                graph_widths=defaults.graph_widths,
-                lstm_hidden=defaults.lstm_hidden,
-                lstm_layers=defaults.lstm_layers,
-                mlp_widths=defaults.mlp_widths,
-                variant=variant,
-                activation=defaults.activation,
-            )
+            config = ModelConfig(T=t, FT=ft, K=k, quota=quota, variant=variant)
             params = init_params(config, seed=cell_seed)
-            cell_train = TrainConfig(
-                batch_size=train_config.batch_size,
-                step_size=train_config.step_size,
-                beta1=train_config.beta1,
-                beta2=train_config.beta2,
-                epsilon=train_config.epsilon,
-                patience=train_config.patience,
-                min_delta=train_config.min_delta,
-                max_epochs=train_config.max_epochs,
-                seed=cell_seed,
-            )
-            best, report = train(dataset, params, cell_train)
+            best, report = train(dataset, params, dataclasses.replace(train_config, seed=cell_seed))
             feats, mask, labels = dataset.subset(dataset.test_idx)
             cell.metrics = evaluate(best, feats, mask, labels)
             cell.infer_us_per_clip = measure_inference(best, feats, mask)["per_clip_us"]

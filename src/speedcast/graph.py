@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGraphError, InvalidConfigError, ShapeError
-from .types import CategoryQuota, Clip
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -296,18 +295,3 @@ def spatial_encode_backward(
         grads[i] = (dw, db)
     return dy, grads
 
-
-def encode_clip_spatial(
-    clip: Clip,
-    stacks: dict[str, list[ChebLayerParams]],
-    quota: CategoryQuota,
-    activation: str = "relu",
-) -> dict[str, np.ndarray]:
-    """Per-view pooled sequences for one clip: {view: (T, d)}."""
-    out: dict[str, np.ndarray] = {}
-    for view, block in quota.slices().items():
-        x = clip.features[None, :, block, :]
-        m = clip.mask[None, :, block]
-        pooled, _ = spatial_encode_forward(x, m, stacks[view], activation)
-        out[view] = pooled[0]
-    return out

@@ -10,7 +10,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .types import (
     NUM_ACTIONS,
     Action,
     CategoryQuota,
-    Clip,
     DetectedObject,
     FrameDetections,
     SensorSample,
@@ -134,27 +133,26 @@ def assemble_clips(
     T: int,
     FT: int,
     quota: CategoryQuota,
-    session: str = "",
-    max_steering: float = MAX_STEERING_DEG,
-) -> list[Clip]:
-    """Emit one Clip per valid anchor of an already-downsampled session.
+) -> dict[str, np.ndarray]:
+    """Stack one clip per valid anchor of an already-downsampled session.
 
     An anchor at position i needs T history frames, an eligible (turn-free,
     moving) history window, and a non-coast label at position i + FT.
+    Returns the per-clip arrays `features` (m, T, N, 4), `mask` (m, T, N),
+    `labels`, `anchors` (frame index of position i) and `scenarios`, named
+    like the ClipDataset fields they fill.
     """
     if T < 1:
         raise InvalidConfigError(f"history length T must be >= 1, got {T}")
     if FT < 1:
         raise InvalidConfigError(f"future offset FT must be >= 1, got {FT}")
     sensors_by_frame = {s.frame_index: s for s in sensors}
-    clips: list[Clip] = []
-    feature_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def frame_block(pos: int) -> tuple[np.ndarray, np.ndarray]:
-        if pos not in feature_cache:
-            feature_cache[pos] = select_top_n(frames[pos], quota)
-        return feature_cache[pos]
-
+    positions: list[int] = []
+    labels: list[int] = []
+    scenarios: list[str] = []
+    frame_feats = np.zeros((len(frames), quota.total, 4), dtype=np.float64)
+    frame_mask = np.zeros((len(frames), quota.total), dtype=bool)
+    filled = np.zeros(len(frames), dtype=bool)
     for i in range(T - 1, len(frames) - FT):
         target_frame = frames[i + FT].frame_index
         target_sensor = sensors_by_frame.get(target_frame)
@@ -163,26 +161,23 @@ def assemble_clips(
         label = derive_label(target_sensor)
         if label is None:
             continue
-        window = frames[i - T + 1 : i + 1]
-        if not clip_eligible(window, sensors_by_frame, max_steering):
+        if not clip_eligible(frames[i - T + 1 : i + 1], sensors_by_frame):
             continue
-        feats = np.zeros((T, quota.total, 4), dtype=np.float64)
-        mask = np.zeros((T, quota.total), dtype=bool)
-        for t, pos in enumerate(range(i - T + 1, i + 1)):
-            feats[t], mask[t] = frame_block(pos)
-        clips.append(
-            Clip(
-                features=feats,
-                mask=mask,
-                label=label,
-                meta={
-                    "session": session,
-                    "anchor": frames[i].frame_index,
-                    "scenario": target_sensor.scenario,
-                },
-            )
-        )
-    return clips
+        for pos in range(i - T + 1, i + 1):
+            if not filled[pos]:
+                frame_feats[pos], frame_mask[pos] = select_top_n(frames[pos], quota)
+                filled[pos] = True
+        positions.append(i)
+        labels.append(int(label))
+        scenarios.append(target_sensor.scenario)
+    windows = np.asarray(positions, dtype=np.int64)[:, None] + np.arange(1 - T, 1)
+    return {
+        "features": frame_feats[windows],
+        "mask": frame_mask[windows],
+        "labels": np.asarray(labels, dtype=np.int64),
+        "anchors": np.asarray([frames[i].frame_index for i in positions], dtype=np.int64),
+        "scenarios": np.asarray(scenarios, dtype="U16"),
+    }
 
 
 def split_dataset(
@@ -212,17 +207,19 @@ def split_dataset(
     )
 
 
-def oversample(train: list[Clip], seed: int = 0) -> list[Clip]:
-    """Duplicate minority-class clips (with replacement) up to the majority count."""
+def oversample(labels: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Row indices that balance `labels` to a uniform class histogram.
+
+    The original rows come first, in order; then, class by class, minority
+    rows drawn with replacement up to the majority count.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[Clip]] = {a: [] for a in range(NUM_ACTIONS)}
-    for clip in train:
-        by_class[int(clip.label)].append(clip)
-    target = max(len(v) for v in by_class.values()) if train else 0
-    out = list(train)
+    target = np.bincount(labels, minlength=NUM_ACTIONS).max()
+    picks = [np.arange(len(labels))]
     for action in range(NUM_ACTIONS):
-        pool = by_class[action]
-        if not pool:
+        pool = np.flatnonzero(labels == action)
+        if not len(pool):
             if target > 0:
                 warnings.warn(
                     f"class {ACTION_NAMES[action]} has no training samples; left at zero"
@@ -230,16 +227,8 @@ def oversample(train: list[Clip], seed: int = 0) -> list[Clip]:
             continue
         deficit = target - len(pool)
         if deficit > 0:
-            picks = rng.integers(0, len(pool), size=deficit)
-            out.extend(pool[int(p)] for p in picks)
-    return out
-
-
-def class_histogram(clips: Iterable[Clip]) -> np.ndarray:
-    counts = np.zeros(NUM_ACTIONS, dtype=np.int64)
-    for clip in clips:
-        counts[int(clip.label)] += 1
-    return counts
+            picks.append(pool[rng.integers(0, len(pool), size=deficit)])
+    return np.concatenate(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +257,6 @@ class ClipDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @classmethod
-    def from_clips(cls, clips: Sequence[Clip], T: int, FT: int, quota: CategoryQuota) -> "ClipDataset":
-        m = len(clips)
-        feats = np.zeros((m, T, quota.total, 4), dtype=np.float64)
-        mask = np.zeros((m, T, quota.total), dtype=bool)
-        labels = np.zeros(m, dtype=np.int64)
-        sessions = np.array([c.meta.get("session", "") for c in clips], dtype="U64")
-        anchors = np.array([int(c.meta.get("anchor", -1)) for c in clips], dtype=np.int64)
-        scenarios = np.array([c.meta.get("scenario", "") for c in clips], dtype="U16")
-        for i, clip in enumerate(clips):
-            feats[i] = clip.features
-            mask[i] = clip.mask
-            labels[i] = int(clip.label)
-        if m == 0:
-            sessions = np.empty(0, dtype="U64")
-            anchors = np.empty(0, dtype=np.int64)
-            scenarios = np.empty(0, dtype="U16")
-        return cls(feats, mask, labels, sessions, anchors, scenarios, T, FT, quota)
-
-    def clip(self, i: int) -> Clip:
-        return Clip(
-            features=self.features[i],
-            mask=self.mask[i],
-            label=Action(int(self.labels[i])),
-            meta={
-                "session": str(self.sessions[i]),
-                "anchor": int(self.anchors[i]),
-                "scenario": str(self.scenarios[i]),
-            },
-        )
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(features, mask, labels) views for the given indices."""
@@ -382,43 +340,33 @@ def build_dataset(
     FT: int,
     quota: CategoryQuota,
     seed: int = 0,
-    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
-    oversample_train: bool = True,
-    standardize: bool = True,
 ) -> ClipDataset:
     """Assemble, split, oversample and standardize clips from per-session streams.
 
     Oversampling duplicates training indices only; val/test stay untouched.
     Standardization uses training-split statistics across the whole dataset.
     """
-    clips: list[Clip] = []
-    for name in sorted(sessions):
-        frames, sensors = sessions[name]
-        clips.extend(assemble_clips(frames, sensors, T, FT, quota, session=name))
-    train, val, test = split_dataset(list(range(len(clips))), ratios, seed)
-    if oversample_train and train:
-        labels = [int(clips[i].label) for i in train]
-        by_class: dict[int, list[int]] = {a: [] for a in range(NUM_ACTIONS)}
-        for pos, lab in zip(train, labels):
-            by_class[lab].append(pos)
-        target = max(len(v) for v in by_class.values())
-        rng = np.random.default_rng(seed + 1)
-        for action in range(NUM_ACTIONS):
-            pool = by_class[action]
-            if not pool:
-                warnings.warn(
-                    f"class {ACTION_NAMES[action]} has no training samples; left at zero"
-                )
-                continue
-            deficit = target - len(pool)
-            if deficit > 0:
-                picks = rng.integers(0, len(pool), size=deficit)
-                train.extend(pool[int(p)] for p in picks)
-    ds = ClipDataset.from_clips(clips, T, FT, quota)
-    ds.train_idx = np.asarray(train, dtype=np.int64)
-    ds.val_idx = np.asarray(val, dtype=np.int64)
-    ds.test_idx = np.asarray(test, dtype=np.int64)
-    if standardize and len(ds.train_idx):
+    names = sorted(sessions)
+    parts = [assemble_clips(*sessions[name], T, FT, quota) for name in names]
+    shaped = parts or [assemble_clips([], [], T, FT, quota)]  # column shapes when no session exists
+    columns = {
+        key: np.concatenate([part[key] for part in shaped])
+        for key in ("features", "mask", "labels", "anchors", "scenarios")
+    }
+    # Wide enough for every name, never narrower than the historical U64.
+    width = max([64, *map(len, names)])
+    session_col = np.array(
+        [name for name, part in zip(names, parts) for _ in part["labels"]], dtype=f"U{width}"
+    )
+    ds = ClipDataset(sessions=session_col, T=T, FT=FT, quota=quota, **columns)
+    train, val, test = (
+        np.asarray(part, dtype=np.int64)
+        for part in split_dataset(list(range(len(ds))), seed=seed)
+    )
+    ds.train_idx = train[oversample(ds.labels[train], seed + 1)]
+    ds.val_idx = val
+    ds.test_idx = test
+    if len(ds.train_idx):
         ds.standardize_from_train()
     return ds
 
@@ -485,4 +433,26 @@ def read_sensor_log(path: str | Path) -> dict[str, list[SensorSample]]:
             sessions.setdefault(session, []).append(sample)
     for samples in sessions.values():
         samples.sort(key=lambda s: s.frame_index)
+    return sessions
+
+
+def load_sessions(
+    logs_dir: str | Path, source_fps: float = 3.0, target_fps: float = 3.0
+) -> dict[str, tuple[list[FrameDetections], list[SensorSample]]]:
+    """Read `detections.jsonl` and `sensors.jsonl` from one directory, paired by session.
+
+    Each session's frames are downsampled from source_fps to target_fps and
+    only the sensor rows of the kept frames remain. A session with detections
+    but no sensor rows is a DataAlignmentError.
+    """
+    logs_dir = Path(logs_dir)
+    detections = read_detection_log(logs_dir / "detections.jsonl")
+    sensor_log = read_sensor_log(logs_dir / "sensors.jsonl")
+    sessions = {}
+    for name, frames in detections.items():
+        if name not in sensor_log:
+            raise DataAlignmentError(f"session {name!r} has detections but no sensor rows")
+        frames = downsample(frames, source_fps, target_fps)
+        kept = {f.frame_index for f in frames}
+        sessions[name] = (frames, [s for s in sensor_log[name] if s.frame_index in kept])
     return sessions

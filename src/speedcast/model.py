@@ -5,6 +5,7 @@ is checked against central finite differences in the test suite.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from .graph import (
     spatial_encode_backward,
     spatial_encode_forward,
 )
-from .types import NUM_ACTIONS, CategoryQuota, Clip
+from .types import NUM_ACTIONS, CategoryQuota
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
 
@@ -182,11 +183,8 @@ class ModelParams:
         return dict(self.named_arrays())
 
     def clone(self) -> "ModelParams":
-        out = init_params(self.config, seed=self.seed)
-        mine = self.arrays()
-        for name, arr in out.named_arrays():
-            arr[...] = mine[name]
-        return out
+        """An independent copy: no tensor is shared with this instance."""
+        return copy.deepcopy(self)
 
     def load_arrays(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in self.named_arrays():
@@ -372,15 +370,6 @@ def lstm_backward(
     return dh_out, grads
 
 
-def lstm_encode(h_seq: np.ndarray, layers: list[LstmLayerParams]) -> np.ndarray:
-    """Encode a (T, d) pooled sequence into the final hidden state vector."""
-    h_seq = np.asarray(h_seq, dtype=np.float64)
-    if h_seq.ndim != 2 or h_seq.shape[0] < 1:
-        raise ShapeError(f"expected (T>=1, d) sequence, got {h_seq.shape}")
-    final, _ = lstm_forward(h_seq[None], layers)
-    return final[0]
-
-
 # ---------------------------------------------------------------------------
 # Classifier and full model
 # ---------------------------------------------------------------------------
@@ -484,23 +473,6 @@ def model_backward(
         if dfeatures is not None:
             dfeatures[:, :, vc["block"], :] += dx
     return grads, dfeatures
-
-
-def forward(clip: Clip, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Single-clip forward: returns (probabilities, logits), each shape (4,)."""
-    probs, logits, _ = model_forward(clip.features[None], clip.mask[None], params)
-    return probs[0], logits[0]
-
-
-def forward_variant(clip: Clip, params: ModelParams, variant: str) -> np.ndarray:
-    """Forward under an explicitly named variant; must match the params' wiring."""
-    variant = normalize_variant(variant)
-    if variant != params.config.variant:
-        raise InvalidConfigError(
-            f"params were built for variant {params.config.variant!r}, not {variant!r}"
-        )
-    probs, _ = forward(clip, params)
-    return probs
 
 
 # ---------------------------------------------------------------------------

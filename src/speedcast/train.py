@@ -68,13 +68,6 @@ def loss_and_grads(
     return loss, grads, dfeatures
 
 
-def backward(
-    features: np.ndarray, mask: np.ndarray, labels: np.ndarray, params: ModelParams
-) -> tuple[float, dict[str, np.ndarray]]:
-    loss, grads, _ = loss_and_grads(features, mask, labels, params)
-    return loss, grads
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def train(
             for lo in range(0, len(order), config.batch_size):
                 batch = train_idx[order[lo : lo + config.batch_size]]
                 feats, mask, labels = dataset.subset(batch)
-                loss, grads = backward(feats, mask, labels, params)
+                loss, grads, _ = loss_and_grads(feats, mask, labels, params)
                 adam_step(params, grads, state, hyper)
                 epoch_loss += loss
                 n_batches += 1
@@ -269,7 +262,7 @@ def gradient_check(
     discrepancy is below `abs_floor` count as exact: there the difference is
     dominated by float64 roundoff of the loss evaluations, not by the gradient.
     """
-    _, grads = backward(features, mask, labels, params)
+    _, grads, _ = loss_and_grads(features, mask, labels, params)
     worst: dict[str, float] = {}
     for name, arr in params.named_arrays():
         g = grads[name]

@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidRecordError
 
 # Raw detector labels grouped into the three graph views.
@@ -125,12 +123,3 @@ class CategoryQuota:
             "traffic": slice(self.n_car + self.n_pedestrian, self.total),
         }
 
-
-@dataclass
-class Clip:
-    """One model input: T frames x N object slots x 4 normalized coordinates."""
-
-    features: np.ndarray  # (T, N, 4) float64, rows in [0, 1]
-    mask: np.ndarray  # (T, N) bool, True = real detection
-    label: Action
-    meta: dict = field(default_factory=dict)  # session, anchor frame, scenario

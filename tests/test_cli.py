@@ -26,6 +26,15 @@ def logs_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def unpaired_logs_dir(logs_dir, tmp_path):
+    """The shared logs with every sensor row of session s000 removed."""
+    (tmp_path / "detections.jsonl").write_text((logs_dir / "detections.jsonl").read_text())
+    rows = (logs_dir / "sensors.jsonl").read_text().splitlines(True)
+    (tmp_path / "sensors.jsonl").write_text("".join(r for r in rows if '"s000"' not in r))
+    return tmp_path
+
+
 class TestSynthCommand:
     def test_writes_logs_and_manifest(self, logs_dir):
         assert (logs_dir / "detections.jsonl").exists()
@@ -64,6 +73,11 @@ class TestPrepareCommand:
             ["prepare", "--logs", str(logs_dir), "--out", str(tmp_path), "--quota", "3,2"]
         )
         assert rc == 1  # SpeedcastError base exit code
+
+    def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
+        rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "s000" in capsys.readouterr().err
 
     def test_missing_logs_dir_is_error(self, tmp_path):
         rc = main(["prepare", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path)])
@@ -134,3 +148,13 @@ class TestAblateCommand:
         lines = (tmp_path / "results.csv").read_text().splitlines()
         assert len(lines) == 3
         assert (tmp_path / "loss_curves.csv").exists()
+
+    def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
+        rc = main(
+            [
+                "ablate", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out"),
+                "--T", "4", "--variant", "base", "--quota", "3,2,1", "--max-epochs", "1",
+            ]
+        )
+        assert rc == 3
+        assert "s000" in capsys.readouterr().err

@@ -7,17 +7,18 @@ from speedcast.ingest import (
     ClipDataset,
     assemble_clips,
     build_dataset,
-    class_histogram,
     clip_eligible,
     derive_label,
     downsample,
+    load_sessions,
     oversample,
     read_detection_log,
     read_sensor_log,
     select_top_n,
     split_dataset,
 )
-from speedcast.types import Action, CategoryQuota, Clip, DetectedObject, FrameDetections, SensorSample
+from speedcast.synth import SynthConfig, generate, write_logs
+from speedcast.types import Action, CategoryQuota, DetectedObject, FrameDetections, SensorSample
 
 QUOTA = CategoryQuota(3, 2, 1)
 
@@ -133,23 +134,41 @@ class TestAssembleClips:
 
     def test_anchor_range_and_shapes(self):
         frames, sensors = self._session()
-        clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA, session="s")
+        clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
         # anchors run from T-1 to len-FT-1 inclusive
-        assert len(clips) == 12 - 2 - 3
-        assert clips[0].features.shape == (4, QUOTA.total, 4)
-        assert clips[0].meta["anchor"] == 3
+        m = 12 - 2 - 3
+        assert clips["features"].shape == (m, 4, QUOTA.total, 4)
+        assert clips["mask"].shape == (m, 4, QUOTA.total)
+        assert clips["labels"].shape == clips["scenarios"].shape == (m,)
+        np.testing.assert_array_equal(clips["anchors"], np.arange(3, 3 + m))
+
+    def test_each_clip_holds_its_own_window(self):
+        frames = [frame(i, [car(x1=10 * i)]) for i in range(12)]
+        sensors = [sensor(i) for i in range(12)]
+        clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
+        for k, anchor in enumerate(clips["anchors"]):
+            for t in range(4):
+                feats, mask = select_top_n(frames[anchor - 3 + t], QUOTA)
+                np.testing.assert_array_equal(clips["features"][k, t], feats)
+                np.testing.assert_array_equal(clips["mask"][k, t], mask)
+
+    def test_no_valid_anchor_gives_empty_arrays(self):
+        frames, sensors = self._session(n=4)
+        clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
+        assert clips["features"].shape == (0, 4, QUOTA.total, 4)
+        assert clips["labels"].dtype == np.int64 and len(clips["anchors"]) == 0
 
     def test_coast_targets_are_skipped(self):
         frames, sensors = self._session()
         sensors[6] = sensor(6, accel=0.0)
         clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
-        assert all(c.meta["anchor"] != 4 for c in clips)
+        assert 4 not in clips["anchors"]
 
     def test_turn_in_history_skips_the_clip(self):
         frames, sensors = self._session()
         sensors[4] = sensor(4, steer=40.0)
         clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
-        assert all(not (c.meta["anchor"] - 3 <= 4 <= c.meta["anchor"]) for c in clips)
+        assert not np.any((clips["anchors"] - 3 <= 4) & (4 <= clips["anchors"]))
 
     def test_bad_dims_raise(self):
         frames, sensors = self._session()
@@ -180,30 +199,23 @@ class TestSplit:
             split_dataset([1, 2, 3], ratios=(0.5, 0.2, 0.2))
 
 
-def _clip(label):
-    return Clip(
-        features=np.zeros((2, QUOTA.total, 4)),
-        mask=np.zeros((2, QUOTA.total), dtype=bool),
-        label=Action(label),
-    )
-
-
 class TestOversample:
     def test_histogram_becomes_uniform(self):
-        clips = [_clip(0)] * 8 + [_clip(1)] * 3 + [_clip(2)] * 5 + [_clip(3)] * 1
-        out = oversample(clips, seed=0)
-        assert np.all(class_histogram(out) == 8)
+        labels = np.array([0] * 8 + [1] * 3 + [2] * 5 + [3] * 1)
+        out = oversample(labels, seed=0)
+        assert np.all(np.bincount(labels[out], minlength=4) == 8)
 
     def test_originals_are_kept(self):
-        clips = [_clip(0)] * 2 + [_clip(1)]
-        out = oversample(clips, seed=0)
-        assert out[: len(clips)] == clips
+        labels = np.array([0, 0, 1])
+        out = oversample(labels, seed=0)
+        np.testing.assert_array_equal(out[: len(labels)], np.arange(len(labels)))
+        assert np.all(labels[out[len(labels) :]] == 1)
 
     def test_missing_class_warns_and_stays_empty(self):
-        clips = [_clip(0)] * 3
+        labels = np.array([0, 0, 0])
         with pytest.warns(UserWarning):
-            out = oversample(clips, seed=0)
-        hist = class_histogram(out)
+            out = oversample(labels, seed=0)
+        hist = np.bincount(labels[out], minlength=4)
         assert hist[0] == 3 and hist[1:].sum() == 0
 
 
@@ -246,6 +258,16 @@ class TestArchiveRoundTrip:
         assert loaded.T == small_dataset.T
         assert loaded.quota == small_dataset.quota
 
+    def test_long_session_name_survives_round_trip(self, small_synth, tmp_path):
+        name = "x" * 70
+        streams = {name: small_synth.sessions["s000"]}
+        ds = build_dataset(streams, T=5, FT=1, quota=QUOTA, seed=4)
+        assert len(ds) > 0
+        path = tmp_path / "clips.npz"
+        ds.save(path)
+        loaded = ClipDataset.load(path)
+        assert set(loaded.sessions.tolist()) == {name}
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, schema=np.array("other/9"))
@@ -275,3 +297,24 @@ class TestLogIO:
         path.write_text("\n".join(rows) + "\n")
         sessions = read_detection_log(path)
         assert [f.frame_index for f in sessions["a"]] == [0, 2]
+
+
+class TestLoadSessions:
+    @pytest.fixture
+    def logs(self, tmp_path):
+        write_logs(generate(SynthConfig(sessions=2, frames_per_session=12, seed=1)), tmp_path)
+        return tmp_path
+
+    def test_pairs_and_downsamples_every_session(self, logs):
+        sessions = load_sessions(logs, source_fps=3.0, target_fps=1.0)
+        assert sorted(sessions) == ["s000", "s001"]
+        for frames, sensors in sessions.values():
+            assert [f.frame_index for f in frames] == list(range(0, 12, 3))
+            assert [s.frame_index for s in sensors] == [f.frame_index for f in frames]
+
+    def test_session_without_sensor_rows_is_alignment_error(self, logs):
+        sensors = logs / "sensors.jsonl"
+        rows = sensors.read_text().splitlines(True)
+        sensors.write_text("".join(r for r in rows if '"s000"' not in r))
+        with pytest.raises(DataAlignmentError, match="s000"):
+            load_sessions(logs)

@@ -10,7 +10,6 @@ from speedcast.train import (
     EarlyStopper,
     TrainConfig,
     adam_step,
-    backward,
     batch_loss,
     cross_entropy,
     gradient_check,
