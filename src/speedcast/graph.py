@@ -1,15 +1,19 @@
-"""Complete-graph operators and K-hop Chebyshev spectral convolution.
+"""Complete-graph Chebyshev convolution: one ragged closed-form path and a dense oracle.
 
-Two equivalent code paths exist on purpose:
+Each frame of a view is a complete graph over its real detections, self-loops
+included; padded slots are isolated. On the real rows the rescaled Laplacian
+is L_tilde = -P, where P replaces each row by its graph's mean, so
+T_k(L_tilde) = c_k (I - P) + (-1)^k P with c_k = cos(k pi / 2). A K-hop
+Chebyshev layer is therefore the DeepSets equivariant layer
+act(x A + mean(x) B + b), with A and B fixed sums of the hop weights W_k.
 
-* a dense reference path (`GraphOperator` + `cheb_conv`) that materializes the
-  rescaled Laplacian and its Chebyshev basis, checkable against an
-  eigendecomposition oracle, and
-* a batched masked path (`cheb_layer_forward` / `spatial_encode_forward`) that
-  exploits the structure of the padded complete graph - the rescaled Laplacian
-  acts on real rows as minus their mean and on padded rows as negation - so
-  clips can be processed as (batch, frame, node) tensors without building any
-  n x n matrix.
+* The production path (`spatial_encode_forward` / `spatial_encode_backward`)
+  gathers the real rows of a (B, T, n, f) batch into one flat ragged array,
+  one segment per non-empty graph, runs the closed-form layers on it and
+  max-pools each segment. Padded slots cost nothing.
+* The dense path (`GraphOperator`, `cheb_conv`, `cheb_conv_spectral`,
+  `masked_max_pool`) materializes one graph's Laplacian and Chebyshev basis;
+  it is the oracle the tests check the production path against.
 """
 from __future__ import annotations
 
@@ -174,92 +178,90 @@ def masked_max_pool(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched masked fast path
+# Ragged closed-form path
 # ---------------------------------------------------------------------------
 
 
-def apply_rescaled_laplacian(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """L_tilde @ x for the padded complete graph, batched over leading dims.
+@dataclass(frozen=True)
+class Segments:
+    """The real rows of a (..., n) mask as one flat ragged batch.
 
-    Real rows receive minus the mean over real rows; padded rows are negated.
-    Shapes: x (..., n, f), mask (..., n). Self-adjoint, so backward reuses it.
+    Rows are taken in C order (`x[mask]`), so each graph's real rows are
+    contiguous and in node order. Only graphs with at least one real row get a
+    segment, because `ufunc.reduceat` is not an identity on empty ranges.
     """
-    m = mask.astype(x.dtype)[..., None]
-    count = m.sum(axis=-2, keepdims=True)
-    mean_real = (x * m).sum(axis=-2, keepdims=True) / np.maximum(count, 1.0)
-    return np.where(mask[..., None], -mean_real, -x)
+
+    starts: np.ndarray  # (S,) first row of each segment
+    sizes: np.ndarray  # (S,) real rows per segment, all >= 1
+    ids: np.ndarray  # (R,) segment of each row
+    nonempty: np.ndarray  # (G,) bool over the flattened graphs: has a segment
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "Segments":
+        counts = mask.reshape(-1, mask.shape[-1]).sum(axis=1)
+        nonempty = counts > 0
+        sizes = counts[nonempty]
+        starts = np.cumsum(sizes) - sizes
+        return cls(starts, sizes, np.repeat(np.arange(sizes.size), sizes), nonempty)
+
+    def sum(self, h: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(h, self.starts, axis=0)
+
+    def mean(self, h: np.ndarray) -> np.ndarray:
+        return self.sum(h) / self.sizes[:, None]
+
+
+def hop_coefficients(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, e) with T_k(L_tilde) = c_k I + e_k P on the real rows of a complete graph.
+
+    There L_tilde = -P, and P (the per-graph mean) is a projection, so T_k acts
+    as T_k(0) = cos(k pi / 2) off the mean direction and T_k(-1) = (-1)^k on it.
+    """
+    k = np.arange(order + 1)
+    c = np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
+    return c, np.where(k % 2 == 0, 1.0, -1.0) - c
 
 
 def cheb_layer_forward(
-    x: np.ndarray,
-    mask: np.ndarray,
+    h: np.ndarray,
+    segments: Segments,
     params: ChebLayerParams,
     activation: str = "relu",
 ) -> tuple[np.ndarray, dict]:
-    """Batched Chebyshev layer on padded complete graphs.
+    """One Chebyshev layer on flat real rows: act(h A + mean(h) B + b).
 
-    x: (..., n, in_dim); mask: (..., n). Returns (..., n, out_dim) and a cache
-    holding the Chebyshev basis images S_k = T_k(L_tilde) x for the backward pass.
+    h: (R, in_dim) rows grouped by `segments`. A = sum_k c_k W_k and
+    B = sum_k e_k W_k (see `hop_coefficients`); K = 0 gives B = 0.
     """
-    if x.shape[-1] != params.in_dim:
-        raise ShapeError(f"features width {x.shape[-1]} != layer in_dim {params.in_dim}")
+    if h.shape[-1] != params.in_dim:
+        raise ShapeError(f"features width {h.shape[-1]} != layer in_dim {params.in_dim}")
     act, _ = ACTIVATIONS[activation]
-    s = [x]
-    if params.order >= 1:
-        s.append(apply_rescaled_laplacian(x, mask))
-    for _ in range(2, params.order + 1):
-        s.append(2.0 * apply_rescaled_laplacian(s[-1], mask) - s[-2])
-    z = sum(sk @ wk for sk, wk in zip(s, params.weights)) + params.bias
-    return act(z), {"s": s, "z": z, "mask": mask, "activation": activation}
+    c, e = hop_coefficients(params.order)
+    a = np.tensordot(c, params.weights, axes=1)
+    b = np.tensordot(e, params.weights, axes=1)
+    mean = segments.mean(h)
+    z = h @ a + (mean @ b)[segments.ids] + params.bias
+    cache = {"h": h, "mean": mean, "z": z, "a": a, "b": b, "segments": segments, "activation": activation}
+    return act(z), cache
 
 
 def cheb_layer_backward(
     dy: np.ndarray, cache: dict, params: ChebLayerParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode through one batched Chebyshev layer.
+    """Reverse mode through `cheb_layer_forward`: (dh, dweights, dbias).
 
-    Returns (dx, dweights, dbias). The recurrence is reversed term by term;
-    L_tilde is symmetric so its adjoint is itself.
+    dW_k = c_k dA + e_k dB; P is symmetric, so dh = dz A^T + P dz B^T.
     """
     _, grad = ACTIVATIONS[cache["activation"]]
+    segments = cache["segments"]
     dz = dy * grad(cache["z"])
-    s = cache["s"]
-    mask = cache["mask"]
-    dweights = np.empty_like(params.weights)
-    for k in range(params.order + 1):
-        sk = s[k].reshape(-1, params.in_dim)
-        dweights[k] = sk.T @ dz.reshape(-1, params.out_dim)
-    dbias = dz.reshape(-1, params.out_dim).sum(axis=0)
-    ds = [dz @ params.weights[k].T for k in range(params.order + 1)]
-    for k in range(params.order, 1, -1):
-        ds[k - 1] += 2.0 * apply_rescaled_laplacian(ds[k], mask)
-        ds[k - 2] -= ds[k]
-    dx = ds[0]
-    if params.order >= 1:
-        dx = dx + apply_rescaled_laplacian(ds[1], mask)
-    return dx, dweights, dbias
-
-
-def pooled_forward(y: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Masked max over the node axis, batched: (..., n, d) -> (..., d).
-
-    Ties resolve to the lowest node index (argmax of the masked tensor).
-    """
-    neg = np.where(mask[..., None], y, -np.inf)
-    arg = neg.argmax(axis=-2)
-    pooled = np.take_along_axis(y, arg[..., None, :], axis=-2).squeeze(-2)
-    any_real = mask.any(axis=-1)
-    pooled = np.where(any_real[..., None], pooled, 0.0)
-    return pooled, {"arg": arg, "any_real": any_real, "n": y.shape[-2]}
-
-
-def pooled_backward(dpooled: np.ndarray, cache: dict) -> np.ndarray:
-    """Route the pooled gradient to each coordinate's achieving row."""
-    arg = cache["arg"]
-    dp = np.where(cache["any_real"][..., None], dpooled, 0.0)
-    dy = np.zeros(dp.shape[:-1] + (cache["n"], dp.shape[-1]))
-    np.put_along_axis(dy, arg[..., None, :], dp[..., None, :], axis=-2)
-    return dy
+    dz_sum = segments.sum(dz)
+    c, e = hop_coefficients(params.order)
+    da = cache["h"].T @ dz
+    db = cache["mean"].T @ dz_sum
+    dweights = c[:, None, None] * da + e[:, None, None] * db
+    dh = dz @ cache["a"].T + ((dz_sum / segments.sizes[:, None]) @ cache["b"].T)[segments.ids]
+    return dh, dweights, dz.sum(axis=0)
 
 
 def spatial_encode_forward(
@@ -268,17 +270,22 @@ def spatial_encode_forward(
     layers: list[ChebLayerParams],
     activation: str = "relu",
 ) -> tuple[np.ndarray, dict]:
-    """Chebyshev stack then masked max pool for one view.
+    """Chebyshev stack then max pool over each graph's real nodes, for one view.
 
-    x: (B, T, n, 4); mask: (B, T, n). Output H: (B, T, d_out).
+    x: (B, T, n, f); mask: (B, T, n) bool. Output H: (B, T, d_out). Only real
+    rows are computed; a frame with no real node pools to the zero vector.
     """
+    segments = Segments.from_mask(mask)
+    h = x[mask]
     caches = []
-    h = x
     for layer in layers:
-        h, cache = cheb_layer_forward(h, mask, layer, activation)
+        h, cache = cheb_layer_forward(h, segments, layer, activation)
         caches.append(cache)
-    pooled, pool_cache = pooled_forward(h, mask)
-    return pooled, {"layers": caches, "pool": pool_cache}
+    maxima = np.maximum.reduceat(h, segments.starts, axis=0)
+    pooled = np.zeros((segments.nonempty.size, h.shape[-1]))
+    pooled[segments.nonempty] = maxima
+    cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "mask": mask}
+    return pooled.reshape(mask.shape[:-1] + (h.shape[-1],)), cache
 
 
 def spatial_encode_backward(
@@ -286,12 +293,24 @@ def spatial_encode_backward(
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Backward of spatial_encode_forward.
 
-    Returns (dx, [(dweights, dbias) per layer, same order as forward]).
+    Each pooled coordinate's gradient goes to the lowest real node achieving
+    the max; a frame with no real node gets none. Returns (dx, [(dweights,
+    dbias) per layer, same order as forward]); dx is zero on padded slots.
     """
-    dy = pooled_backward(dpooled, cache["pool"])
+    segments = cache["segments"]
+    out = cache["out"]
+    n_rows, width = out.shape
+    # `~(out < max)` is `out == max` for finite values and also marks NaN, so a
+    # non-finite column still routes to a row and the caller sees the fault.
+    rows = np.where(~(out < cache["maxima"][segments.ids]), np.arange(n_rows)[:, None], n_rows)
+    first = np.minimum.reduceat(rows, segments.starts, axis=0)
+    dy = np.zeros_like(out)
+    dy[first, np.arange(width)] = dpooled.reshape(-1, width)[segments.nonempty]
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         dy, dw, db = cheb_layer_backward(dy, cache["layers"][i], layers[i])
         grads[i] = (dw, db)
-    return dy, grads
-
+    mask = cache["mask"]
+    dx = np.zeros(mask.shape + (dy.shape[-1],))
+    dx[mask] = dy
+    return dx, grads

@@ -73,9 +73,7 @@ def derive_label(sensor: SensorSample) -> Optional[Action]:
 
 
 def clip_eligible(
-    window: Sequence[FrameDetections],
-    sensors_by_frame: dict[int, SensorSample],
-    max_steering: float = MAX_STEERING_DEG,
+    window: Sequence[FrameDetections], sensors_by_frame: dict[int, SensorSample]
 ) -> bool:
     """True iff every covered frame is turn-free and the window starts moving.
 
@@ -88,7 +86,7 @@ def clip_eligible(
         sensor = sensors_by_frame.get(frame.frame_index)
         if sensor is None:
             raise DataAlignmentError(f"no sensor row for frame {frame.frame_index}")
-        if abs(sensor.steering_angle) > max_steering:
+        if abs(sensor.steering_angle) > MAX_STEERING_DEG:
             return False
     first = sensors_by_frame[window[0].frame_index]
     if first.is_moving is not None:

@@ -6,10 +6,11 @@ is checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -187,10 +188,18 @@ class ModelParams:
         return copy.deepcopy(self)
 
     def load_arrays(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in self.named_arrays():
+        """Overwrite every tensor from `values`, which must hold exactly these names and shapes."""
+        expected = self.arrays()
+        missing = sorted(expected.keys() - values.keys())
+        extra = sorted(values.keys() - expected.keys())
+        if missing or extra:
+            raise InvalidRecordError(f"checkpoint tensors: missing {missing}, unexpected {extra}")
+        for name, arr in expected.items():
             src = values[name]
-            if src.shape != arr.shape:
-                raise ShapeError(f"{name}: stored shape {src.shape} != expected {arr.shape}")
+            if src.shape != arr.shape or src.dtype.kind != "f":
+                raise InvalidRecordError(
+                    f"{name}: stored {src.dtype} {src.shape}, expected float {arr.shape}"
+                )
             arr[...] = src
 
 
@@ -202,6 +211,15 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Seeded fan-in-scaled uniform init; zero biases except forget gates at +1."""
     rng = np.random.default_rng(seed)
+    return _build_params(config, seed, functools.partial(_glorot, rng))
+
+
+def _build_params(
+    config: ModelConfig,
+    seed: int,
+    weight: Callable[[tuple[int, ...], int, int], np.ndarray],
+) -> ModelParams:
+    """The tensors `config` needs; `weight(shape, fan_in, fan_out)` makes each weight matrix."""
     graph: dict[str, list[ChebLayerParams]] = {}
     lstm: dict[str, list[LstmLayerParams]] = {}
     widths = (4,) + tuple(config.graph_widths)
@@ -210,7 +228,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
         for fin, fout in zip(widths[:-1], widths[1:]):
             layers.append(
                 ChebLayerParams(
-                    weights=_glorot(rng, (config.K + 1, fin, fout), fin, fout),
+                    weights=weight((config.K + 1, fin, fout), fin, fout),
                     bias=np.zeros(fout),
                 )
             )
@@ -222,10 +240,10 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
                 h = config.lstm_hidden
                 lstm_layers.append(
                     LstmLayerParams(
-                        w_i=_glorot(rng, (in_dim + h, h), in_dim + h, h),
-                        w_f=_glorot(rng, (in_dim + h, h), in_dim + h, h),
-                        w_g=_glorot(rng, (in_dim + h, h), in_dim + h, h),
-                        w_o=_glorot(rng, (in_dim + h, h), in_dim + h, h),
+                        w_i=weight((in_dim + h, h), in_dim + h, h),
+                        w_f=weight((in_dim + h, h), in_dim + h, h),
+                        w_g=weight((in_dim + h, h), in_dim + h, h),
+                        w_o=weight((in_dim + h, h), in_dim + h, h),
                         b_i=np.zeros(h),
                         b_f=np.ones(h),
                         b_g=np.zeros(h),
@@ -237,11 +255,11 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     f_in = config.classifier_in_dim
     h1, h2 = config.mlp_widths
     classifier = MlpParams(
-        w1=_glorot(rng, (f_in, h1), f_in, h1),
+        w1=weight((f_in, h1), f_in, h1),
         b1=np.zeros(h1),
-        w2=_glorot(rng, (h1, h2), h1, h2),
+        w2=weight((h1, h2), h1, h2),
         b2=np.zeros(h2),
-        w_out=_glorot(rng, (h2, NUM_ACTIONS), h2, NUM_ACTIONS),
+        w_out=weight((h2, NUM_ACTIONS), h2, NUM_ACTIONS),
         b_out=np.zeros(NUM_ACTIONS),
     )
     return ModelParams(config=config, graph=graph, lstm=lstm, classifier=classifier, seed=seed)
@@ -418,6 +436,8 @@ def model_forward(
         raise ShapeError(
             f"features {features.shape} do not match config (T={cfg.T}, N={cfg.quota.total})"
         )
+    if mask.shape != features.shape[:3] or mask.dtype != np.bool_:
+        raise ShapeError(f"mask {mask.dtype} {mask.shape} must be bool {features.shape[:3]}")
     b = features.shape[0]
     parts = []
     view_caches = {}
@@ -491,12 +511,23 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     )
 
 
+_CHECKPOINT_META = ("schema", "config", "seed")
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Rebuild the parameters `save_checkpoint` wrote.
+
+    A missing field or tensor, an unexpected tensor, or a tensor of the wrong
+    shape or dtype raises InvalidRecordError naming it.
+    """
     with np.load(path, allow_pickle=False) as data:
+        missing = [key for key in _CHECKPOINT_META if key not in data.files]
+        if missing:
+            raise InvalidRecordError(f"checkpoint lacks {missing}")
         schema = str(data["schema"])
         if schema != CHECKPOINT_SCHEMA:
             raise InvalidRecordError(f"unexpected checkpoint schema {schema!r}")
         config = ModelConfig.from_json(str(data["config"]))
-        params = init_params(config, seed=int(data["seed"]))
-        params.load_arrays({k: data[k] for k in data.files if "." in k})
+        params = _build_params(config, int(data["seed"]), lambda shape, *_: np.empty(shape))
+        params.load_arrays({k: data[k] for k in data.files if k not in _CHECKPOINT_META})
     return params

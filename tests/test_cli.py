@@ -124,6 +124,19 @@ class TestTrainEvalCommands:
         assert "accuracy:" in out
         assert "us/clip" in out
 
+    def test_eval_checkpoint_missing_tensor_is_record_error(self, trained, tmp_path, capsys):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            payload = {k: data[k] for k in data.files if k != "classifier.b1"}
+        np.savez(tmp_path / "checkpoint.npz", **payload)
+        rc = main(
+            [
+                "eval", "--archive", str(trained / "data" / "clips.npz"),
+                "--checkpoint", str(tmp_path / "checkpoint.npz"), "--split", "test",
+            ]
+        )
+        assert rc == 3
+        assert "classifier.b1" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):

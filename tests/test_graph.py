@@ -8,18 +8,18 @@ from speedcast.errors import DegenerateGraphError, InvalidConfigError, ShapeErro
 from speedcast.graph import (
     ChebLayerParams,
     GraphOperator,
+    Segments,
     adjacency_from_mask,
-    apply_rescaled_laplacian,
     build_adjacency,
     cheb_conv,
     cheb_conv_spectral,
     cheb_layer_backward,
     cheb_layer_forward,
     chebyshev_basis,
+    hop_coefficients,
     masked_max_pool,
     normalized_laplacian,
-    pooled_backward,
-    pooled_forward,
+    spatial_encode_backward,
     spatial_encode_forward,
 )
 
@@ -29,6 +29,42 @@ def random_layer(rng, order, fin, fout):
         weights=rng.normal(size=(order + 1, fin, fout)),
         bias=rng.normal(size=fout),
     )
+
+
+def pool_only(width):
+    """A layer that passes its input through exactly, so the encoder is just the pool."""
+    return [ChebLayerParams(weights=np.eye(width)[None], bias=np.zeros(width))]
+
+
+def dense_encode(x, mask, layers, activation):
+    """Per-graph oracle: dense cheb_conv stack, then masked_max_pool."""
+    out = np.zeros(mask.shape[:-1] + (layers[-1].out_dim,))
+    for idx in np.ndindex(*mask.shape[:-1]):
+        g = GraphOperator.from_adjacency(adjacency_from_mask(mask[idx]))
+        h = x[idx]
+        for layer in layers:
+            h = cheb_conv(h, g, layer, activation)
+        out[idx] = masked_max_pool(h, mask[idx])
+    return out
+
+
+def central_difference_errors(objective, pairs, step=1e-6):
+    """Worst |fd - grad| per (array, grad) pair; arrays are perturbed in place."""
+    worst = []
+    for arr, grad in pairs:
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        err = 0.0
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            up = objective()
+            flat[idx] = orig - step
+            down = objective()
+            flat[idx] = orig
+            fd = (up - down) / (2 * step)
+            err = max(err, abs(fd - gflat[idx]))
+        worst.append(err)
+    return worst
 
 
 class TestAdjacency:
@@ -101,16 +137,29 @@ class TestChebyshevBasis:
 
 class TestFastPath:
     def test_operator_matches_dense_l_tilde(self):
+        """On real rows, T_k(L_tilde) = c_k I + e_k P; padded rows never mix in."""
         rng = np.random.default_rng(1)
         for _ in range(25):
             n = int(rng.integers(1, 8))
             mask = rng.uniform(size=n) < 0.6
             x = rng.normal(size=(n, 3))
-            x[~mask] = rng.normal(size=(int((~mask).sum()), 3))
             g = GraphOperator.from_adjacency(adjacency_from_mask(mask))
-            np.testing.assert_allclose(
-                apply_rescaled_laplacian(x, mask), g.l_tilde @ x, atol=1e-12
-            )
+            order = 6
+            c, e = hop_coefficients(order)
+            real = x[mask]
+            mean = real.mean(axis=0) if mask.any() else np.zeros(3)
+            for k, t_k in enumerate(chebyshev_basis(g.l_tilde, order)):
+                np.testing.assert_allclose(
+                    (t_k @ x)[mask], c[k] * real + e[k] * mean, atol=1e-12
+                )
+
+    def test_segments_skip_empty_graphs(self):
+        mask = np.array([[True, False, True], [False, False, False], [False, True, False]])
+        seg = Segments.from_mask(mask)
+        np.testing.assert_array_equal(seg.starts, [0, 2])
+        np.testing.assert_array_equal(seg.sizes, [2, 1])
+        np.testing.assert_array_equal(seg.ids, [0, 0, 1])
+        np.testing.assert_array_equal(seg.nonempty, [True, False, True])
 
     def test_layer_matches_dense_reference(self):
         rng = np.random.default_rng(2)
@@ -119,39 +168,30 @@ class TestFastPath:
         mask = rng.uniform(size=(b, t, n)) < 0.7
         x = rng.normal(size=(b, t, n, 4))
         x[~mask] = 0.0
-        y, _ = cheb_layer_forward(x, mask, layer)
+        y, _ = cheb_layer_forward(x[mask], Segments.from_mask(mask), layer)
+        ref = np.zeros((b, t, n, 5))
         for i in range(b):
             for j in range(t):
                 g = GraphOperator.from_adjacency(adjacency_from_mask(mask[i, j]))
-                ref = cheb_conv(x[i, j], g, layer)
-                np.testing.assert_allclose(y[i, j], ref, atol=1e-12)
+                ref[i, j] = cheb_conv(x[i, j], g, layer)
+        np.testing.assert_allclose(y, ref[mask], atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         layer = random_layer(rng, 2, 3, 2)
-        mask = np.array([[[True, True, False, True]]])
-        x = rng.normal(size=(1, 1, 4, 3))
-        x[~mask] = 0.0
-        dy = rng.normal(size=(1, 1, 4, 2))
+        mask = np.array([[True, True, False, True], [False, True, False, False]])
+        segments = Segments.from_mask(mask)
+        h = rng.normal(size=(int(mask.sum()), 3))
+        dy = rng.normal(size=(len(h), 2))
 
         def objective():
-            y, _ = cheb_layer_forward(x, mask, layer)
+            y, _ = cheb_layer_forward(h, segments, layer)
             return float((y * dy).sum())
 
-        _, cache = cheb_layer_forward(x, mask, layer)
-        dx, dw, db = cheb_layer_backward(dy, cache, layer)
-        step = 1e-6
-        for arr, grad in ((layer.weights, dw), (layer.bias, db), (x, dx)):
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            for idx in range(0, flat.size, max(1, flat.size // 7)):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up = objective()
-                flat[idx] = orig - step
-                down = objective()
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                assert abs(fd - gflat[idx]) < 1e-6
+        _, cache = cheb_layer_forward(h, segments, layer)
+        dh, dw, db = cheb_layer_backward(dy, cache, layer)
+        errors = central_difference_errors(objective, ((layer.weights, dw), (layer.bias, db), (h, dh)))
+        assert max(errors) < 1e-6
 
 
 class TestMaskedPooling:
@@ -163,12 +203,15 @@ class TestMaskedPooling:
     def test_all_padded_pools_to_zero(self):
         y = np.ones((3, 4))
         assert np.all(masked_max_pool(y, np.zeros(3, dtype=bool)) == 0.0)
+        pooled, _ = spatial_encode_forward(y[None, None], np.zeros((1, 1, 3), dtype=bool), pool_only(4))
+        assert np.all(pooled == 0.0)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=(2, 3, 5, 4))
         mask = rng.uniform(size=(2, 3, 5)) < 0.6
-        pooled, _ = pooled_forward(y, mask)
+        mask[0, 0] = False
+        pooled, _ = spatial_encode_forward(y, mask, pool_only(4), "identity")
         for i in range(2):
             for j in range(3):
                 np.testing.assert_array_equal(
@@ -178,16 +221,57 @@ class TestMaskedPooling:
     def test_backward_routes_to_lowest_achieving_row(self):
         y = np.array([[[[3.0], [3.0], [1.0]]]])
         mask = np.ones((1, 1, 3), dtype=bool)
-        _, cache = pooled_forward(y, mask)
-        dy = pooled_backward(np.array([[[2.0]]]), cache)
+        layers = pool_only(1)
+        _, cache = spatial_encode_forward(y, mask, layers, "identity")
+        dy, _ = spatial_encode_backward(np.array([[[2.0]]]), cache, layers)
         np.testing.assert_array_equal(dy[0, 0, :, 0], [2.0, 0.0, 0.0])
 
     def test_backward_zero_for_all_padded(self):
         y = np.ones((1, 1, 3, 2))
         mask = np.zeros((1, 1, 3), dtype=bool)
-        _, cache = pooled_forward(y, mask)
-        dy = pooled_backward(np.ones((1, 1, 2)), cache)
+        layers = pool_only(2)
+        _, cache = spatial_encode_forward(y, mask, layers)
+        dy, grads = spatial_encode_backward(np.ones((1, 1, 2)), cache, layers)
         assert np.all(dy == 0.0)
+        assert all(np.all(dw == 0.0) and np.all(db == 0.0) for dw, db in grads)
+
+
+@st.composite
+def encoder_cases(draw):
+    """A small view batch whose frames are empty, full or partly real, plus a layer stack."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    order = draw(st.integers(min_value=0, max_value=6))
+    widths = [3] + draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2))
+    activation = draw(st.sampled_from(["relu", "identity"]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    kinds = draw(st.lists(st.sampled_from(["empty", "full", "partial"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(seed)
+    share = np.array([{"empty": 0.0, "partial": 0.5, "full": 1.0}[k] for k in kinds])
+    mask = (rng.uniform(size=(len(kinds), n)) < share[:, None])[None]  # uniform draws are < 1
+    x = rng.normal(size=mask.shape + (3,))
+    x[~mask] = 0.0
+    scale = 1.0 / np.sqrt(order + 1)
+    layers = [
+        ChebLayerParams(weights=rng.normal(scale=scale, size=(order + 1, a, b)), bias=rng.normal(size=b))
+        for a, b in zip(widths[:-1], widths[1:])
+    ]
+    return x, mask, layers, activation, rng.normal(size=mask.shape[:-1] + (widths[-1],))
+
+
+@settings(max_examples=40, deadline=None)
+@given(encoder_cases())
+def test_ragged_encoder_matches_dense_oracle_and_finite_differences(case):
+    x, mask, layers, activation, dpooled = case
+    pooled, cache = spatial_encode_forward(x, mask, layers, activation)
+    np.testing.assert_allclose(pooled, dense_encode(x, mask, layers, activation), rtol=0, atol=1e-12)
+
+    def objective():
+        return float((spatial_encode_forward(x, mask, layers, activation)[0] * dpooled).sum())
+
+    dx, grads = spatial_encode_backward(dpooled, cache, layers)
+    assert np.all(dx[~mask] == 0.0)
+    pairs = [pair for layer, (dw, db) in zip(layers, grads) for pair in ((layer.weights, dw), (layer.bias, db))]
+    assert max(central_difference_errors(objective, pairs + [(x, dx)])) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)

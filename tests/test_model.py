@@ -140,6 +140,14 @@ class TestForward:
         with pytest.raises(ShapeError):
             model_forward(np.zeros((1, 2, 6, 4)), np.zeros((1, 2, 6), dtype=bool), params)
 
+    @pytest.mark.parametrize("bad", ["short", "float", "int"])
+    def test_bad_mask_rejected(self, tiny_model_config, bad):
+        params = init_params(tiny_model_config, seed=0)
+        features, mask, _ = random_batch(tiny_model_config, batch=2, seed=0)
+        mask = {"short": mask[:, :, :-1], "float": mask.astype(float), "int": mask.astype(int)}[bad]
+        with pytest.raises(ShapeError, match="mask"):
+            model_forward(features, mask, params)
+
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(5, 4))
@@ -161,4 +169,29 @@ class TestCheckpoint:
         path = tmp_path / "bad.npz"
         np.savez(path, schema=np.array("not-a-checkpoint"))
         with pytest.raises(InvalidRecordError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        edit(payload)
+        np.savez(path, **payload)
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.pop("classifier.b1"), "classifier.b1"),
+            (lambda d: d.update({"classifier.b9": np.zeros(3)}), "classifier.b9"),
+            (lambda d: d.update({"classifier.b1": np.zeros(3)}), "classifier.b1"),
+            (lambda d: d.update({"classifier.b1": np.array(["x"] * 8)}), "classifier.b1"),
+            (lambda d: d.pop("seed"), "seed"),
+        ],
+        ids=["missing", "extra", "shape", "dtype", "metadata"],
+    )
+    def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(init_params(tiny_model_config, seed=9), path)
+        self._rewrite(path, edit)
+        with pytest.raises(InvalidRecordError, match=named):
             load_checkpoint(path)

@@ -57,6 +57,14 @@ class TestGradients:
         with pytest.raises(NumericFaultError):
             loss_and_grads(features, mask, labels, params)
 
+    def test_non_finite_graph_weights_raise_numeric_fault(self, tiny_model_config):
+        """A NaN max-pool still routes its gradient, so the fault is reported, not an IndexError."""
+        params = init_params(tiny_model_config, seed=0)
+        params.graph["car"][1].weights[0, 0, 0] = np.nan
+        features, mask, labels = random_batch(tiny_model_config, batch=2, seed=3)
+        with pytest.raises(NumericFaultError):
+            loss_and_grads(features, mask, labels, params)
+
     def test_gradient_check_on_small_variant(self):
         cfg = ModelConfig(
             T=2, K=1, quota=TINY_QUOTA, graph_widths=(3, 4), lstm_hidden=4,
@@ -67,6 +75,26 @@ class TestGradients:
         for _, arr in params.named_arrays():
             arr += rng.normal(scale=0.05, size=arr.shape)
         features, mask, labels = random_batch(cfg, batch=2, seed=4)
+        worst = gradient_check(features, mask, labels, params)
+        assert max(worst.values()) <= 1e-4
+
+
+    @pytest.mark.parametrize("K", [0, 5])
+    def test_gradient_check_with_empty_views(self, K):
+        """Frames where a view has no real node pool to zero and must pass no gradient."""
+        cfg = ModelConfig(
+            T=3, K=K, quota=TINY_QUOTA, graph_widths=(3, 4), lstm_hidden=4,
+            mlp_widths=(4, 4), variant="full",
+        )
+        params = init_params(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        for _, arr in params.named_arrays():
+            arr += rng.normal(scale=0.05, size=arr.shape)
+        features, mask, labels = random_batch(cfg, batch=2, seed=5)
+        for view, block in cfg.views():
+            mask[0, 1, block] = False
+            mask[1, 2, block] = False
+        features[~mask] = 0.0
         worst = gradient_check(features, mask, labels, params)
         assert max(worst.values()) <= 1e-4
 
