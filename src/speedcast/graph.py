@@ -18,7 +18,7 @@ act(x A + mean(x) B + b), with A and B fixed sums of the hop weights W_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -246,11 +246,12 @@ def cheb_layer_forward(
 
 
 def cheb_layer_backward(
-    dy: np.ndarray, cache: dict, params: ChebLayerParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dy: np.ndarray, cache: dict, params: ChebLayerParams, want_dh: bool = True
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Reverse mode through `cheb_layer_forward`: (dh, dweights, dbias).
 
-    dW_k = c_k dA + e_k dB; P is symmetric, so dh = dz A^T + P dz B^T.
+    dW_k = c_k dA + e_k dB; P is symmetric, so dh = dz A^T + P dz B^T. dh is
+    None when `want_dh` is False.
     """
     _, grad = ACTIVATIONS[cache["activation"]]
     segments = cache["segments"]
@@ -260,6 +261,8 @@ def cheb_layer_backward(
     da = cache["h"].T @ dz
     db = cache["mean"].T @ dz_sum
     dweights = c[:, None, None] * da + e[:, None, None] * db
+    if not want_dh:
+        return None, dweights, dz.sum(axis=0)
     dh = dz @ cache["a"].T + ((dz_sum / segments.sizes[:, None]) @ cache["b"].T)[segments.ids]
     return dh, dweights, dz.sum(axis=0)
 
@@ -289,13 +292,17 @@ def spatial_encode_forward(
 
 
 def spatial_encode_backward(
-    dpooled: np.ndarray, cache: dict, layers: list[ChebLayerParams]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    dpooled: np.ndarray,
+    cache: dict,
+    layers: list[ChebLayerParams],
+    want_input_grad: bool = True,
+) -> tuple[Optional[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
     """Backward of spatial_encode_forward.
 
     Each pooled coordinate's gradient goes to the lowest real node achieving
     the max; a frame with no real node gets none. Returns (dx, [(dweights,
-    dbias) per layer, same order as forward]); dx is zero on padded slots.
+    dbias) per layer, same order as forward]); dx is zero on padded slots,
+    and None when `want_input_grad` is False.
     """
     segments = cache["segments"]
     out = cache["out"]
@@ -308,8 +315,12 @@ def spatial_encode_backward(
     dy[first, np.arange(width)] = dpooled.reshape(-1, width)[segments.nonempty]
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        dy, dw, db = cheb_layer_backward(dy, cache["layers"][i], layers[i])
+        dy, dw, db = cheb_layer_backward(
+            dy, cache["layers"][i], layers[i], want_dh=i > 0 or want_input_grad
+        )
         grads[i] = (dw, db)
+    if not want_input_grad:
+        return None, grads
     mask = cache["mask"]
     dx = np.zeros(mask.shape + (dy.shape[-1],))
     dx[mask] = dy

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +36,23 @@ BRAKE_THRESHOLD_KPA = {"highway": 958.0, "urban": 1461.0}
 ACCEL_THRESHOLD_PCT = {"highway": 22.0, "urban": 19.0}
 
 CLIPSET_SCHEMA = "speedcast-clipset/1"
+_CLIPSET_KEYS = (
+    "schema", "features", "mask", "labels", "sessions", "anchors", "scenarios", "dims",
+    "quota", "train_idx", "val_idx", "test_idx", "norm_mean", "norm_std",
+)
+
+
+@contextmanager
+def open_archive(path: str | Path, kind: str) -> Iterator[np.lib.npyio.NpzFile]:
+    """The `.npz` archive at `path`; a file of any other format raises InvalidRecordError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InvalidRecordError(f"{path} is not a {kind} archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InvalidRecordError(f"{path} is not a {kind} archive: it holds a single array")
+    with data:
+        yield data
 
 
 def downsample(
@@ -308,28 +327,69 @@ class ClipDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClipDataset":
-        with np.load(path, allow_pickle=False) as data:
+        """Read an archive `save` wrote, validated: the keys, the shapes against
+        `dims` and `quota`, the label and split-index ranges, and finite features
+        and norm statistics. A violation raises InvalidRecordError naming it.
+        """
+        with open_archive(path, "clipset") as data:
+            missing = sorted(set(_CLIPSET_KEYS) - set(data.files))
+            extra = sorted(set(data.files) - set(_CLIPSET_KEYS))
+            if missing or extra:
+                raise InvalidRecordError(f"clipset arrays: missing {missing}, unexpected {extra}")
             schema = str(data["schema"])
             if schema != CLIPSET_SCHEMA:
                 raise InvalidRecordError(f"unexpected clipset schema {schema!r}")
-            T, FT = (int(x) for x in data["dims"])
-            qc, qp, qt = (int(x) for x in data["quota"])
-            return cls(
-                features=data["features"],
-                mask=data["mask"],
-                labels=data["labels"],
-                sessions=data["sessions"],
-                anchors=data["anchors"],
-                scenarios=data["scenarios"],
-                T=T,
-                FT=FT,
-                quota=CategoryQuota(qc, qp, qt),
-                train_idx=data["train_idx"],
-                val_idx=data["val_idx"],
-                test_idx=data["test_idx"],
-                norm_mean=data["norm_mean"],
-                norm_std=data["norm_std"],
+            arrays = {key: data[key] for key in _CLIPSET_KEYS if key != "schema"}
+        dims, quota = arrays.pop("dims"), arrays.pop("quota")
+        kinds = {dims.dtype.kind, quota.dtype.kind}
+        if dims.shape != (2,) or quota.shape != (3,) or not kinds <= {"i", "u"}:
+            raise InvalidRecordError(
+                f"clipset dims {dims.dtype} {dims.shape} and quota {quota.dtype} {quota.shape} "
+                "must be 2 and 3 integers"
             )
+        T, FT = (int(x) for x in dims)
+        if T < 1 or FT < 1:
+            raise InvalidRecordError(f"clipset dims T={T} FT={FT} must be positive")
+        ds = cls(T=T, FT=FT, quota=CategoryQuota(*(int(x) for x in quota)), **arrays)
+        ds._validate()
+        return ds
+
+    def _validate(self) -> None:
+        m = self.features.shape[0] if self.features.ndim == 4 else -1
+        n = self.quota.total
+        expected = {  # name: (shape, dtype kinds)
+            "features": ((m, self.T, n, 4), "f"),
+            "mask": ((m, self.T, n), "b"),
+            "labels": ((m,), "iu"),
+            "sessions": ((m,), "U"),
+            "anchors": ((m,), "iu"),
+            "scenarios": ((m,), "U"),
+            "norm_mean": ((4,), "f"),
+            "norm_std": ((4,), "f"),
+        }
+        for key, (shape, kinds) in expected.items():
+            arr = getattr(self, key)
+            if arr.shape != shape or arr.dtype.kind not in kinds:
+                raise InvalidRecordError(
+                    f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {shape}"
+                )
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < NUM_ACTIONS:
+            raise InvalidRecordError(f"clipset labels outside [0, {NUM_ACTIONS})")
+        for key in ("train_idx", "val_idx", "test_idx"):
+            idx = getattr(self, key)
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise InvalidRecordError(
+                    f"clipset {key}: stored {idx.dtype} {idx.shape}, expected 1-D integers"
+                )
+            if idx.size and not 0 <= idx.min() <= idx.max() < m:
+                raise InvalidRecordError(f"clipset {key} holds indices outside [0, {m})")
+        # min and max propagate NaN and reach any infinity, with no temporary
+        # the size of the features.
+        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
+            raise InvalidRecordError("clipset features hold a non-finite value")
+        stats = np.concatenate([self.norm_mean, self.norm_std])
+        if not (np.isfinite(stats).all() and (self.norm_std > 0).all()):
+            raise InvalidRecordError("clipset norm statistics must be finite, with positive std")
 
 
 def build_dataset(

@@ -8,7 +8,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -21,6 +21,7 @@ from .graph import (
     spatial_encode_backward,
     spatial_encode_forward,
 )
+from .ingest import open_archive
 from .types import NUM_ACTIONS, CategoryQuota
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
@@ -63,6 +64,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.T < 1 or self.FT < 1 or self.K < 0:
             raise InvalidConfigError(f"bad dims T={self.T} FT={self.FT} K={self.K}")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidConfigError(
+                f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}"
+            )
         object.__setattr__(self, "variant", normalize_variant(self.variant))
 
     def views(self) -> list[tuple[str, slice]]:
@@ -105,19 +110,31 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        d = json.loads(payload)
-        return cls(
-            T=d["T"],
-            FT=d["FT"],
-            K=d["K"],
-            quota=CategoryQuota(*d["quota"]),
-            graph_widths=tuple(d["graph_widths"]),
-            lstm_hidden=d["lstm_hidden"],
-            lstm_layers=d["lstm_layers"],
-            mlp_widths=tuple(d["mlp_widths"]),
-            variant=d["variant"],
-            activation=d["activation"],
-        )
+        """Parse `to_json` output; a payload that is not that raises InvalidRecordError."""
+        try:
+            d = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise InvalidRecordError(f"model config is not JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise InvalidRecordError(f"model config is not a JSON object: {payload[:80]!r}")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise InvalidRecordError(f"model config lacks {missing}")
+        try:
+            return cls(
+                T=d["T"],
+                FT=d["FT"],
+                K=d["K"],
+                quota=CategoryQuota(*d["quota"]),
+                graph_widths=tuple(d["graph_widths"]),
+                lstm_hidden=d["lstm_hidden"],
+                lstm_layers=d["lstm_layers"],
+                mlp_widths=tuple(d["mlp_widths"]),
+                variant=d["variant"],
+                activation=d["activation"],
+            )
+        except (TypeError, AttributeError) as exc:
+            raise InvalidRecordError(f"model config has a field of the wrong type: {exc}") from exc
 
 
 @dataclass
@@ -270,29 +287,43 @@ def _build_params(
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _fused_gates(layer: LstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The layer's (in+hidden, 4 hidden) weight and (4 hidden,) bias, gate blocks i, f, g, o."""
+    w = np.concatenate([layer.w_i, layer.w_f, layer.w_g, layer.w_o], axis=1)
+    b = np.concatenate([layer.b_i, layer.b_f, layer.b_g, layer.b_o])
+    return w, b
+
+
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, offset) per fused column: gate = scale * tanh(scale * a) + offset.
+
+    On the sigmoid blocks (i, f, o) this is sigmoid(a) = 0.5 (1 + tanh(a / 2)),
+    which needs no branch on the sign of `a` and cannot overflow; on g it is
+    tanh(a). Scaling by a power of two is exact in floating point, so folding
+    the inner scale into the weights changes no bit of the pre-activation.
+    """
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    return scale, np.repeat([0.5, 0.5, 0.0, 0.5], hidden)
 
 
 def lstm_cell_step(
     x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayerParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One standard LSTM cell update; accepts vectors or batches."""
+    """One standard LSTM cell update; accepts vectors or batches.
+
+    The per-gate reference the fused `lstm_forward` is tested against.
+    """
     if x.shape[-1] != layer.in_dim or h.shape[-1] != layer.hidden:
         raise ShapeError(
             f"cell input widths ({x.shape[-1]}, {h.shape[-1]}) do not match "
             f"layer ({layer.in_dim}, {layer.hidden})"
         )
     z = np.concatenate([x, h], axis=-1)
-    i = _sigmoid(z @ layer.w_i + layer.b_i)
-    f = _sigmoid(z @ layer.w_f + layer.b_f)
+    i, f, o = (
+        0.5 * (1.0 + np.tanh(0.5 * (z @ w + b)))
+        for w, b in ((layer.w_i, layer.b_i), (layer.w_f, layer.b_f), (layer.w_o, layer.b_o))
+    )
     g = np.tanh(z @ layer.w_g + layer.b_g)
-    o = _sigmoid(z @ layer.w_o + layer.b_o)
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
@@ -300,92 +331,137 @@ def lstm_cell_step(
 
 def lstm_forward(
     h_seq: np.ndarray, layers: list[LstmLayerParams]
-) -> tuple[np.ndarray, list[list[dict]]]:
+) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Run stacked layers left to right from zero state.
 
     h_seq: (B, T, d). Returns the top layer's last hidden state (B, hidden)
-    and per-layer, per-step caches for BPTT.
+    and, per layer, time-major (T, B, .) arrays for BPTT: the input `x`, the
+    post-activation `gates` (blocks i, f, g, o), the cell state `c`, `tc` =
+    tanh(c) and the hidden state `h`, which is also the next layer's `x`.
+    Each layer projects all T inputs with one matmul and then does one
+    recurrent matmul per step.
     """
     if h_seq.ndim != 3 or h_seq.shape[1] < 1:
         raise ShapeError(f"sequence must be (B, T>=1, d), got {h_seq.shape}")
-    b, t_len, _ = h_seq.shape
-    cache: list[list[dict]] = []
-    x_seq = h_seq
+    b, t_len, width = h_seq.shape
+    if layers and width != layers[0].in_dim:
+        raise ShapeError(f"sequence width {width} != layer in_dim {layers[0].in_dim}")
+    x = np.ascontiguousarray(h_seq.transpose(1, 0, 2))
+    cache: list[dict[str, np.ndarray]] = []
     for layer in layers:
         hid = layer.hidden
-        h = np.zeros((b, hid))
-        c = np.zeros((b, hid))
-        steps = []
-        outs = np.empty((b, t_len, hid))
+        scale, offset = _gate_affine(hid)
+        w, bias = _fused_gates(layer)
+        w *= scale
+        bias *= scale
+        wx, wh = w[: layer.in_dim], w[layer.in_dim :]
+        gates = np.empty((t_len, b, 4 * hid))
+        np.matmul(x.reshape(t_len * b, -1), wx, out=gates.reshape(t_len * b, 4 * hid))
+        gates += bias
+        blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
+        c = np.empty((t_len, b, hid))
+        tc = np.empty_like(c)
+        h = np.empty_like(c)
         for t in range(t_len):
-            z = np.concatenate([x_seq[:, t, :], h], axis=-1)
-            i = _sigmoid(z @ layer.w_i + layer.b_i)
-            f = _sigmoid(z @ layer.w_f + layer.b_f)
-            g = np.tanh(z @ layer.w_g + layer.b_g)
-            o = _sigmoid(z @ layer.w_o + layer.b_o)
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h = o * tc
-            steps.append({"z": z, "i": i, "f": f, "g": g, "o": o, "c_prev": c, "tc": tc})
-            c = c_new
-            outs[:, t, :] = h
-        cache.append(steps)
-        x_seq = outs
-    return x_seq[:, -1, :], cache
+            a = gates[t]
+            if t:
+                a += h[t - 1] @ wh
+            np.tanh(a, out=a)
+            a *= scale
+            a += offset
+            i, f, g, o = blocks[t]
+            np.multiply(i, g, out=c[t])
+            if t:
+                c[t] += f * c[t - 1]
+            np.tanh(c[t], out=tc[t])
+            np.multiply(o, tc[t], out=h[t])
+        cache.append({"x": x, "gates": gates, "c": c, "tc": tc, "h": h})
+        x = h
+    return x[-1], cache
 
 
 def lstm_backward(
-    d_final: np.ndarray, cache: list[list[dict]], layers: list[LstmLayerParams]
+    d_final: np.ndarray, cache: list[dict[str, np.ndarray]], layers: list[LstmLayerParams]
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """BPTT from the final top hidden state back to the input sequence.
 
-    Returns (d_input_seq, per-layer gradient dicts keyed like the param fields).
+    Returns (d_input_seq (B, T, d), per-layer gradient dicts keyed like the
+    param fields). Each step does one recurrent matmul; the weight, bias and
+    input gradients of a layer come from one matmul or sum over all steps.
     """
-    t_len = len(cache[0])
-    b = d_final.shape[0]
-    grads: list[dict[str, np.ndarray]] = [
-        {name: np.zeros_like(getattr(layer, name)) for name in
-         ("w_i", "w_f", "w_g", "w_o", "b_i", "b_f", "b_g", "b_o")}
-        for layer in layers
-    ]
-    # dh_out[t] for the top layer: nonzero only at the last step.
-    dh_out = np.zeros((b, t_len, layers[-1].hidden))
-    dh_out[:, -1, :] = d_final
-    for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
-        steps = cache[li]
-        g = grads[li]
-        in_dim = layer.in_dim
-        dx_seq = np.zeros((b, t_len, in_dim))
-        dh = np.zeros((b, layer.hidden))
-        dc = np.zeros((b, layer.hidden))
-        for t in range(t_len - 1, -1, -1):
-            s = steps[t]
-            dh_t = dh_out[:, t, :] + dh
-            do = dh_t * s["tc"]
-            dc = dc + dh_t * s["o"] * (1.0 - s["tc"] ** 2)
-            di = dc * s["g"]
-            dg = dc * s["i"]
-            df = dc * s["c_prev"]
-            dc = dc * s["f"]
-            da_i = di * s["i"] * (1.0 - s["i"])
-            da_f = df * s["f"] * (1.0 - s["f"])
-            da_g = dg * (1.0 - s["g"] ** 2)
-            da_o = do * s["o"] * (1.0 - s["o"])
-            z = s["z"]
-            g["w_i"] += z.T @ da_i
-            g["w_f"] += z.T @ da_f
-            g["w_g"] += z.T @ da_g
-            g["w_o"] += z.T @ da_o
-            g["b_i"] += da_i.sum(axis=0)
-            g["b_f"] += da_f.sum(axis=0)
-            g["b_g"] += da_g.sum(axis=0)
-            g["b_o"] += da_o.sum(axis=0)
-            dz = da_i @ layer.w_i.T + da_f @ layer.w_f.T + da_g @ layer.w_g.T + da_o @ layer.w_o.T
-            dx_seq[:, t, :] = dz[:, :in_dim]
-            dh = dz[:, in_dim:]
-        dh_out = dx_seq
-    return dh_out, grads
+    grads: list[dict[str, np.ndarray]] = []
+    dx = None
+    for lc, layer in zip(reversed(cache), reversed(layers)):
+        dx, layer_grads = _lstm_layer_backward(d_final, dx, lc, layer)
+        grads.append(layer_grads)
+    return dx.transpose(1, 0, 2), grads[::-1]
+
+
+def _lstm_layer_backward(
+    d_last: np.ndarray,
+    d_seq: Optional[np.ndarray],
+    lc: dict[str, np.ndarray],
+    layer: LstmLayerParams,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """BPTT through one layer: (dx (T, B, in), gradients keyed like the param fields).
+
+    The gradient reaching the layer's outputs is `d_seq` (T, B, hidden) from
+    the layer above or, when that is None, `d_last` (B, hidden) at the last
+    step only.
+    """
+    hid, in_dim = layer.hidden, layer.in_dim
+    x, gates, c, tc, h = lc["x"], lc["gates"], lc["c"], lc["tc"], lc["h"]
+    t_len, b, _ = gates.shape
+    w, _ = _fused_gates(layer)
+    wh_t = w[in_dim:].T
+    gate_blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
+    da = np.empty_like(gates)  # gradient at the fused pre-activations
+    upstream = np.empty((b, 4 * hid))
+    u_i, u_f, u_g, u_o = upstream.reshape(b, 4, hid).transpose(1, 0, 2)
+    dh = d_last if d_seq is None else d_seq[-1]
+    dc = np.zeros((b, hid))
+    for t in range(t_len - 1, -1, -1):
+        if t < t_len - 1:
+            dh = da[t + 1] @ wh_t
+            if d_seq is not None:
+                dh += d_seq[t]
+        i, f, g, o = gate_blocks[t]
+        da_t = da[t]
+        # Each gate's derivative at its pre-activation, s (1 - s) on the
+        # sigmoid blocks and 1 - g^2 on g, times its upstream factor.
+        np.subtract(1.0, gates[t], out=da_t)
+        da_t *= gates[t]
+        da_g = da_t[:, 2 * hid : 3 * hid]
+        np.multiply(g, g, out=da_g)
+        np.subtract(1.0, da_g, out=da_g)
+        tc_t = tc[t]
+        np.multiply(dh, tc_t, out=u_o)
+        dc_t = tc_t * tc_t  # dc += dh o (1 - tanh(c)^2)
+        np.subtract(1.0, dc_t, out=dc_t)
+        dc_t *= o
+        dc_t *= dh
+        dc += dc_t
+        np.multiply(dc, g, out=u_i)
+        if t:
+            np.multiply(dc, c[t - 1], out=u_f)
+        else:
+            u_f[...] = 0.0  # c starts at zero
+        np.multiply(dc, i, out=u_g)
+        da_t *= upstream
+        dc *= f
+    flat = da.reshape(t_len * b, 4 * hid)
+    dw = np.concatenate(
+        [
+            x.reshape(t_len * b, in_dim).T @ flat,
+            h[:-1].reshape(-1, hid).T @ flat[b:],  # step 0 saw h = 0
+        ]
+    )
+    db = flat.sum(axis=0)
+    dx = (flat @ w[:in_dim].T).reshape(t_len, b, in_dim)
+    cols = [slice(k * hid, (k + 1) * hid) for k in range(4)]
+    grads = {f"w_{gate}": dw[:, s] for gate, s in zip("ifgo", cols)}
+    grads.update({f"b_{gate}": db[s] for gate, s in zip("ifgo", cols)})
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +562,9 @@ def model_backward(
                     grads[f"lstm.{view}.{i}.{name}"] = arr
         else:
             dpooled = dpart.reshape(b, cfg.T, cfg.pooled_dim)
-        dx, graph_grads = spatial_encode_backward(dpooled, vc["spatial"], params.graph[view])
+        dx, graph_grads = spatial_encode_backward(
+            dpooled, vc["spatial"], params.graph[view], want_input_grad
+        )
         for i, (dw, dbias) in enumerate(graph_grads):
             grads[f"graph.{view}.{i}.weights"] = dw
             grads[f"graph.{view}.{i}.bias"] = dbias
@@ -517,10 +595,11 @@ _CHECKPOINT_META = ("schema", "config", "seed")
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Rebuild the parameters `save_checkpoint` wrote.
 
-    A missing field or tensor, an unexpected tensor, or a tensor of the wrong
-    shape or dtype raises InvalidRecordError naming it.
+    A file that is not an `.npz` archive, a missing field or tensor, a config
+    that lacks a field, an unexpected tensor, or a tensor of the wrong shape or
+    dtype raises InvalidRecordError naming it.
     """
-    with np.load(path, allow_pickle=False) as data:
+    with open_archive(path, "checkpoint") as data:
         missing = [key for key in _CHECKPOINT_META if key not in data.files]
         if missing:
             raise InvalidRecordError(f"checkpoint lacks {missing}")

@@ -44,3 +44,22 @@ def random_batch(config: ModelConfig, batch: int, seed: int = 0):
     features[~mask] = 0.0
     labels = rng.integers(0, 4, size=batch)
     return features, mask, labels
+
+
+def central_difference_errors(objective, pairs, step=1e-6):
+    """Worst |fd - grad| per (array, grad) pair; arrays are perturbed in place."""
+    worst = []
+    for arr, grad in pairs:
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        err = 0.0
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            up = objective()
+            flat[idx] = orig - step
+            down = objective()
+            flat[idx] = orig
+            fd = (up - down) / (2 * step)
+            err = max(err, abs(fd - gflat[idx]))
+        worst.append(err)
+    return worst

@@ -84,25 +84,27 @@ class TestPrepareCommand:
         assert rc == 2
 
 
-class TestTrainEvalCommands:
-    @pytest.fixture(scope="class")
-    def trained(self, logs_dir, tmp_path_factory):
-        root = tmp_path_factory.mktemp("trained")
-        assert main(
-            [
-                "prepare", "--logs", str(logs_dir), "--out", str(root / "data"),
-                "--T", "4", "--quota", "3,2,1", "--seed", "0",
-            ]
-        ) == 0
-        assert main(
-            [
-                "train", "--archive", str(root / "data" / "clips.npz"),
-                "--out", str(root / "model"), "--variant", "base",
-                "--batch-size", "128", "--max-epochs", "2", "--seed", "0", "--quiet",
-            ]
-        ) == 0
-        return root
+@pytest.fixture(scope="module")
+def trained(logs_dir, tmp_path_factory):
+    """An archive under data/ and a 2-epoch `base` model trained on it under model/."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(
+        [
+            "prepare", "--logs", str(logs_dir), "--out", str(root / "data"),
+            "--T", "4", "--quota", "3,2,1", "--seed", "0",
+        ]
+    ) == 0
+    assert main(
+        [
+            "train", "--archive", str(root / "data" / "clips.npz"),
+            "--out", str(root / "model"), "--variant", "base",
+            "--batch-size", "128", "--max-epochs", "2", "--seed", "0", "--quiet",
+        ]
+    ) == 0
+    return root
 
+
+class TestTrainEvalCommands:
     def test_train_artifacts(self, trained):
         assert (trained / "model" / "checkpoint.npz").exists()
         report = json.loads((trained / "model" / "train_report.json").read_text())
@@ -136,6 +138,33 @@ class TestTrainEvalCommands:
         )
         assert rc == 3
         assert "classifier.b1" in capsys.readouterr().err
+
+    def test_eval_checkpoint_config_without_field_is_record_error(self, trained, tmp_path, capsys):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            payload = {k: data[k] for k in data.files}
+        config = json.loads(str(payload["config"]))
+        del config["T"]
+        payload["config"] = np.array(json.dumps(config))
+        np.savez(tmp_path / "checkpoint.npz", **payload)
+        rc = main(
+            [
+                "eval", "--archive", str(trained / "data" / "clips.npz"),
+                "--checkpoint", str(tmp_path / "checkpoint.npz"), "--split", "test",
+            ]
+        )
+        assert rc == 3
+        assert "lacks ['T']" in capsys.readouterr().err
+
+    def test_eval_non_archive_checkpoint_is_record_error(self, trained, tmp_path, capsys):
+        (tmp_path / "checkpoint.npz").write_text("not an archive")
+        rc = main(
+            [
+                "eval", "--archive", str(trained / "data" / "clips.npz"),
+                "--checkpoint", str(tmp_path / "checkpoint.npz"), "--split", "test",
+            ]
+        )
+        assert rc == 3
+        assert "not a checkpoint archive" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -23,6 +23,8 @@ from speedcast.graph import (
     spatial_encode_forward,
 )
 
+from conftest import central_difference_errors
+
 
 def random_layer(rng, order, fin, fout):
     return ChebLayerParams(
@@ -46,25 +48,6 @@ def dense_encode(x, mask, layers, activation):
             h = cheb_conv(h, g, layer, activation)
         out[idx] = masked_max_pool(h, mask[idx])
     return out
-
-
-def central_difference_errors(objective, pairs, step=1e-6):
-    """Worst |fd - grad| per (array, grad) pair; arrays are perturbed in place."""
-    worst = []
-    for arr, grad in pairs:
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        err = 0.0
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = objective()
-            flat[idx] = orig - step
-            down = objective()
-            flat[idx] = orig
-            fd = (up - down) / (2 * step)
-            err = max(err, abs(fd - gflat[idx]))
-        worst.append(err)
-    return worst
 
 
 class TestAdjacency:
@@ -270,6 +253,11 @@ def test_ragged_encoder_matches_dense_oracle_and_finite_differences(case):
 
     dx, grads = spatial_encode_backward(dpooled, cache, layers)
     assert np.all(dx[~mask] == 0.0)
+    no_dx, same_grads = spatial_encode_backward(dpooled, cache, layers, want_input_grad=False)
+    assert no_dx is None
+    for (dw, db), (dw2, db2) in zip(grads, same_grads):
+        np.testing.assert_array_equal(dw, dw2)
+        np.testing.assert_array_equal(db, db2)
     pairs = [pair for layer, (dw, db) in zip(layers, grads) for pair in ((layer.weights, dw), (layer.bias, db))]
     assert max(central_difference_errors(objective, pairs + [(x, dx)])) < 1e-6
 

@@ -274,6 +274,40 @@ class TestArchiveRoundTrip:
         with pytest.raises(InvalidRecordError):
             ClipDataset.load(path)
 
+    def test_non_archive_rejected(self, tmp_path):
+        path = tmp_path / "clips.npz"
+        path.write_text("not an archive")
+        with pytest.raises(InvalidRecordError, match="not a clipset archive"):
+            ClipDataset.load(path)
+
+    @staticmethod
+    def _nan_feature(d):
+        d["features"] = d["features"].copy()
+        d["features"][0, 0, 0, 0] = np.nan
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.pop("labels"), "labels"),
+            (lambda d: d.update({"test_idx": np.append(d["test_idx"], len(d["labels"]))}), "test_idx"),
+            (lambda d: d.update({"mask": d["mask"][:, :, :-1]}), "mask"),
+            (lambda d: TestArchiveRoundTrip._nan_feature(d), "non-finite"),
+            (lambda d: d.update({"labels": d["labels"] + 4}), "labels"),
+            (lambda d: d.update({"norm_std": np.zeros(4)}), "norm"),
+            (lambda d: d.update({"dims": np.array([5])}), "dims"),
+        ],
+        ids=["missing-array", "index-range", "mask-shape", "nan-feature", "label-range", "norm-std", "dims"],
+    )
+    def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):
+        path = tmp_path / "clips.npz"
+        small_dataset.save(path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        edit(payload)
+        np.savez(path, **payload)
+        with pytest.raises(InvalidRecordError, match=named):
+            ClipDataset.load(path)
+
 
 class TestLogIO:
     def test_malformed_detection_record_raises_with_line(self, tmp_path):

@@ -1,12 +1,18 @@
 """Model wiring: variants, LSTM encoding, classifier, checkpoints."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedcast.errors import InvalidConfigError, InvalidRecordError, ShapeError
 from speedcast.model import (
+    LstmLayerParams,
     ModelConfig,
     init_params,
     load_checkpoint,
+    lstm_backward,
     lstm_cell_step,
     lstm_forward,
     model_forward,
@@ -16,7 +22,7 @@ from speedcast.model import (
 )
 from speedcast.types import CategoryQuota
 
-from conftest import TINY_QUOTA, random_batch
+from conftest import TINY_QUOTA, central_difference_errors, random_batch
 
 
 class TestVariantNames:
@@ -58,6 +64,10 @@ class TestConfigWiring:
         cfg = ModelConfig(T=7, FT=2, K=3, quota=CategoryQuota(4, 2, 2), variant="base_t")
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(InvalidConfigError, match="activation"):
+            ModelConfig(activation="tanh")
+
     def test_bad_dims_rejected(self):
         with pytest.raises(InvalidConfigError):
             ModelConfig(T=0)
@@ -91,6 +101,44 @@ class TestInit:
         assert init_params(cfg, seed=0).lstm == {}
 
 
+GATES = ("i", "f", "g", "o")
+
+
+@st.composite
+def lstm_stacks(draw):
+    """A zero-state LSTM stack, an input sequence and an upstream gradient.
+
+    Biases reach +-`reach` (up to 1e3), so gates range from linear to fully
+    saturated; weights stay O(1), which keeps finite differences accurate.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    b, t_len = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    reach = draw(st.floats(min_value=0.1, max_value=1e3))
+    layers = [
+        LstmLayerParams(
+            **{f"w_{g}": rng.normal(size=(d_in + h, h)) / np.sqrt(d_in + h) for g in GATES},
+            **{f"b_{g}": rng.uniform(-reach, reach, size=h) for g in GATES},
+        )
+        for d_in, h in zip(widths[:-1], widths[1:])
+    ]
+    return layers, rng.normal(size=(b, t_len, widths[0])), rng.normal(size=(b, widths[-1]))
+
+
+def cell_step_loop(seq, layers):
+    """The top layer's last hidden state from `lstm_cell_step`, one step at a time."""
+    x = seq
+    for layer in layers:
+        h = np.zeros((seq.shape[0], layer.hidden))
+        c = np.zeros_like(h)
+        outs = []
+        for t in range(seq.shape[1]):
+            h, c = lstm_cell_step(x[:, t, :], h, c, layer)
+            outs.append(h)
+        x = np.stack(outs, axis=1)
+    return x[:, -1, :]
+
+
 class TestLstm:
     def test_forward_agrees_with_cell_steps(self, tiny_model_config):
         params = init_params(tiny_model_config, seed=1)
@@ -98,16 +146,7 @@ class TestLstm:
         rng = np.random.default_rng(0)
         seq = rng.normal(size=(2, 4, tiny_model_config.pooled_dim))
         final, _ = lstm_forward(seq, layers)
-        x = seq
-        for layer in layers:
-            h = np.zeros((2, layer.hidden))
-            c = np.zeros((2, layer.hidden))
-            outs = []
-            for t in range(4):
-                h, c = lstm_cell_step(x[:, t, :], h, c, layer)
-                outs.append(h)
-            x = np.stack(outs, axis=1)
-        np.testing.assert_allclose(final, x[:, -1, :], atol=1e-14)
+        np.testing.assert_allclose(final, cell_step_loop(seq, layers), atol=1e-14)
 
     def test_cell_shape_check(self, tiny_model_config):
         params = init_params(tiny_model_config, seed=1)
@@ -119,6 +158,39 @@ class TestLstm:
         params = init_params(tiny_model_config, seed=1)
         with pytest.raises(ShapeError):
             lstm_forward(np.zeros((4, 8)), params.lstm["car"])
+
+    def test_sequence_width_check(self, tiny_model_config):
+        params = init_params(tiny_model_config, seed=1)
+        with pytest.raises(ShapeError, match="width"):
+            lstm_forward(np.zeros((4, 2, tiny_model_config.pooled_dim + 1)), params.lstm["car"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # saturated gates must not overflow
+class TestFusedLstmProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(lstm_stacks())
+    def test_forward_matches_cell_steps(self, case):
+        layers, seq, _ = case
+        final, _ = lstm_forward(seq, layers)
+        np.testing.assert_allclose(final, cell_step_loop(seq, layers), rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lstm_stacks())
+    def test_backward_matches_central_differences(self, case):
+        layers, seq, d_final = case
+        _, cache = lstm_forward(seq, layers)
+        d_seq, grads = lstm_backward(d_final, cache, layers)
+        assert d_seq.shape == seq.shape
+
+        def objective():
+            return float((lstm_forward(seq, layers)[0] * d_final).sum())
+
+        pairs = [
+            (getattr(layer, name), g[name])
+            for layer, g in zip(layers, grads)
+            for name in [f"{kind}_{gate}" for kind in "wb" for gate in GATES]
+        ]
+        assert max(central_difference_errors(objective, pairs + [(seq, d_seq)])) < 1e-6
 
 
 class TestForward:
@@ -154,6 +226,13 @@ class TestForward:
         np.testing.assert_allclose(softmax(logits), softmax(logits + 100.0), atol=1e-12)
 
 
+def drop_config_field(config, name):
+    """A stored config JSON without one field."""
+    fields = json.loads(str(config))
+    del fields[name]
+    return np.array(json.dumps(fields))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_model_config, tmp_path):
         params = init_params(tiny_model_config, seed=9)
@@ -171,6 +250,21 @@ class TestCheckpoint:
         with pytest.raises(InvalidRecordError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"not an archive", b"PK\x03\x04truncated", "npy"],
+        ids=["empty", "text", "bad-zip", "npy"],
+    )
+    def test_non_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes(content)
+        with pytest.raises(InvalidRecordError, match="not a checkpoint archive"):
+            load_checkpoint(path)
+
     @staticmethod
     def _rewrite(path, edit):
         with np.load(path) as data:
@@ -186,8 +280,14 @@ class TestCheckpoint:
             (lambda d: d.update({"classifier.b1": np.zeros(3)}), "classifier.b1"),
             (lambda d: d.update({"classifier.b1": np.array(["x"] * 8)}), "classifier.b1"),
             (lambda d: d.pop("seed"), "seed"),
+            (lambda d: d.update({"config": drop_config_field(d["config"], "T")}), r"lacks \['T'\]"),
+            (lambda d: d.update({"config": np.array("{")}), "config is not JSON"),
+            (
+                lambda d: d.update({"config": np.array(ModelConfig().to_json().replace("[20, 10, 10]", "5"))}),
+                "wrong type",
+            ),
         ],
-        ids=["missing", "extra", "shape", "dtype", "metadata"],
+        ids=["missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json", "config-type"],
     )
     def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"
