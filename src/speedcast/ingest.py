@@ -7,12 +7,13 @@ top-confidence objects per view -> assemble fixed-size clips -> seeded split
 from __future__ import annotations
 
 import json
+import math
 import warnings
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -434,9 +435,42 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
-def read_detection_log(path: str | Path) -> dict[str, list[FrameDetections]]:
-    """Parse a detection log into per-session frame lists, ordered by frame index."""
-    sessions: dict[str, list[FrameDetections]] = {}
+_Record = TypeVar("_Record", FrameDetections, SensorSample)
+_NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool, a subclass of int, is not one
+
+
+def _integer(rec: dict, key: str) -> int:
+    value = rec[key]
+    if type(value) is not int:
+        raise InvalidRecordError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(rec: dict, key: str) -> float:
+    value = rec[key]
+    if type(value) not in _NUMBER_TYPES or not math.isfinite(value):
+        raise InvalidRecordError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parse_object(o: dict) -> DetectedObject:
+    # Only the types are checked here: `DetectedObject.validate` bounds every
+    # value by the image or by [0, 1], which also rejects NaN and infinities.
+    values = (o["x1"], o["y1"], o["x2"], o["y2"], o["confidence"])
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise InvalidRecordError(f"box and confidence must be numbers, got {values!r}")
+    return DetectedObject(category=o["category"], bbox=values[:4], confidence=values[4])
+
+
+def _read_jsonl(
+    path: str | Path, kind: str, parse: Callable[[dict], _Record]
+) -> dict[str, list[_Record]]:
+    """Parse every non-blank line with `parse` into per-session lists ordered by frame index.
+
+    A line that is not a JSON object with a string `session`, or a record that
+    `parse` rejects, raises InvalidRecordError naming `path:line`.
+    """
+    sessions: dict[str, list[_Record]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -444,54 +478,54 @@ def read_detection_log(path: str | Path) -> dict[str, list[FrameDetections]]:
                 continue
             try:
                 rec = json.loads(line)
-                frame = FrameDetections(
-                    frame_index=int(rec["frame_index"]),
-                    timestamp=float(rec["timestamp"]),
-                    image_width=int(rec["width"]),
-                    image_height=int(rec["height"]),
-                    objects=[
-                        DetectedObject(
-                            category=o["category"],
-                            bbox=(float(o["x1"]), float(o["y1"]), float(o["x2"]), float(o["y2"])),
-                            confidence=float(o["confidence"]),
-                        )
-                        for o in rec["objects"]
-                    ],
-                )
-                session = str(rec["session"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InvalidRecordError(f"{path}:{lineno}: malformed detection record: {exc}")
-            sessions.setdefault(session, []).append(frame)
-    for frames in sessions.values():
-        frames.sort(key=lambda f: f.frame_index)
+                if not isinstance(rec, dict) or not isinstance(rec.get("session"), str):
+                    raise InvalidRecordError("not a JSON object with a string session")
+                sessions.setdefault(rec["session"], []).append(parse(rec))
+            except (InvalidRecordError, KeyError, ValueError, TypeError, OverflowError) as exc:
+                raise InvalidRecordError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
+    for records in sessions.values():
+        records.sort(key=lambda r: r.frame_index)
     return sessions
+
+
+def _parse_frame(rec: dict) -> FrameDetections:
+    if not isinstance(rec["objects"], list):
+        raise InvalidRecordError(f"objects must be a list, got {rec['objects']!r}")
+    frame = FrameDetections(
+        frame_index=_integer(rec, "frame_index"),
+        timestamp=_number(rec, "timestamp"),
+        image_width=_integer(rec, "width"),
+        image_height=_integer(rec, "height"),
+        objects=[_parse_object(o) for o in rec["objects"]],
+    )
+    frame.validate()
+    return frame
+
+
+def _parse_sensor(rec: dict) -> SensorSample:
+    is_moving = rec.get("is_moving")
+    if is_moving is not None and type(is_moving) is not bool:
+        raise InvalidRecordError(f"is_moving must be true, false or null, got {is_moving!r}")
+    sample = SensorSample(
+        frame_index=_integer(rec, "frame_index"),
+        brake_pressure=_number(rec, "brake_kpa"),
+        accel_pedal=_number(rec, "accel_pct"),
+        steering_angle=_number(rec, "steer_deg"),
+        scenario=rec["scenario"],
+        is_moving=is_moving,
+    )
+    sample.validate()
+    return sample
+
+
+def read_detection_log(path: str | Path) -> dict[str, list[FrameDetections]]:
+    """Parse and validate a detection log into per-session frame lists, ordered by frame index."""
+    return _read_jsonl(path, "detection", _parse_frame)
 
 
 def read_sensor_log(path: str | Path) -> dict[str, list[SensorSample]]:
-    """Parse a sensor log into per-session sample lists, ordered by frame index."""
-    sessions: dict[str, list[SensorSample]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                sample = SensorSample(
-                    frame_index=int(rec["frame_index"]),
-                    brake_pressure=float(rec["brake_kpa"]),
-                    accel_pedal=float(rec["accel_pct"]),
-                    steering_angle=float(rec["steer_deg"]),
-                    scenario=str(rec["scenario"]),
-                    is_moving=rec.get("is_moving"),
-                )
-                session = str(rec["session"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InvalidRecordError(f"{path}:{lineno}: malformed sensor record: {exc}")
-            sessions.setdefault(session, []).append(sample)
-    for samples in sessions.values():
-        samples.sort(key=lambda s: s.frame_index)
-    return sessions
+    """Parse and validate a sensor log into per-session sample lists, ordered by frame index."""
+    return _read_jsonl(path, "sensor", _parse_sensor)
 
 
 def load_sessions(

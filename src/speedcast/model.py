@@ -26,7 +26,8 @@ from .types import NUM_ACTIONS, CategoryQuota
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
 
-CHECKPOINT_SCHEMA = "speedcast-checkpoint/1"
+CHECKPOINT_SCHEMA = "speedcast-checkpoint/2"
+_CHECKPOINT_SCHEMA_V1 = "speedcast-checkpoint/1"
 
 
 def normalize_variant(name: str) -> str:
@@ -62,8 +63,14 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
+        sizes = (*self.graph_widths, *self.mlp_widths, self.lstm_hidden, self.lstm_layers)
+        dims = (self.T, self.FT, self.K, *sizes)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in dims):
+            raise InvalidConfigError(f"dims and sizes must be integers: {self}")
         if self.T < 1 or self.FT < 1 or self.K < 0:
             raise InvalidConfigError(f"bad dims T={self.T} FT={self.FT} K={self.K}")
+        if not self.graph_widths or len(self.mlp_widths) != 2 or min(sizes) < 1:
+            raise InvalidConfigError(f"bad sizes in {self}: need all >= 1, a graph layer, two MLP widths")
         if self.activation not in ACTIVATIONS:
             raise InvalidConfigError(
                 f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}"
@@ -110,7 +117,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        """Parse `to_json` output; a payload that is not that raises InvalidRecordError."""
+        """Parse `to_json` output; any other payload or an invalid config raises InvalidRecordError."""
         try:
             d = json.loads(payload)
         except json.JSONDecodeError as exc:
@@ -135,28 +142,25 @@ class ModelConfig:
             )
         except (TypeError, AttributeError) as exc:
             raise InvalidRecordError(f"model config has a field of the wrong type: {exc}") from exc
+        except InvalidConfigError as exc:
+            raise InvalidRecordError(f"model config is invalid: {exc}") from exc
 
 
 @dataclass
 class LstmLayerParams:
-    """One LSTM layer; each gate weight is (in+hidden, hidden)."""
+    """One fused-gate LSTM layer: `weights` (in+hidden, 4 hidden), input rows then
+    recurrent rows, and `bias` (4 hidden,); column blocks are gates i, f, g, o."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_g: np.ndarray
-    w_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    weights: np.ndarray
+    bias: np.ndarray
 
     @property
     def hidden(self) -> int:
-        return self.w_i.shape[1]
+        return self.weights.shape[1] // 4
 
     @property
     def in_dim(self) -> int:
-        return self.w_i.shape[0] - self.hidden
+        return self.weights.shape[0] - self.hidden
 
 
 @dataclass
@@ -183,16 +187,11 @@ class ModelParams:
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         """(path, tensor) pairs in a fixed order; tensors are live references."""
-        for view in sorted(self.graph):
-            for i, layer in enumerate(self.graph[view]):
-                yield f"graph.{view}.{i}.weights", layer.weights
-                yield f"graph.{view}.{i}.bias", layer.bias
-        for view in sorted(self.lstm):
-            for i, layer in enumerate(self.lstm[view]):
-                for gate in ("i", "f", "g", "o"):
-                    yield f"lstm.{view}.{i}.w_{gate}", getattr(layer, f"w_{gate}")
-                for gate in ("i", "f", "g", "o"):
-                    yield f"lstm.{view}.{i}.b_{gate}", getattr(layer, f"b_{gate}")
+        for kind, stacks in (("graph", self.graph), ("lstm", self.lstm)):
+            for view in sorted(stacks):
+                for i, layer in enumerate(stacks[view]):
+                    yield f"{kind}.{view}.{i}.weights", layer.weights
+                    yield f"{kind}.{view}.{i}.bias", layer.bias
         c = self.classifier
         for name in ("w1", "b1", "w2", "b2", "w_out", "b_out"):
             yield f"classifier.{name}", getattr(c, name)
@@ -253,18 +252,13 @@ def _build_params(
         if config.temporal:
             lstm_layers = []
             in_dim = config.pooled_dim
+            h = config.lstm_hidden
             for _ in range(config.lstm_layers):
-                h = config.lstm_hidden
+                # One (in+h, h) block per gate, drawn in gate order with its own fan-out.
                 lstm_layers.append(
                     LstmLayerParams(
-                        w_i=weight((in_dim + h, h), in_dim + h, h),
-                        w_f=weight((in_dim + h, h), in_dim + h, h),
-                        w_g=weight((in_dim + h, h), in_dim + h, h),
-                        w_o=weight((in_dim + h, h), in_dim + h, h),
-                        b_i=np.zeros(h),
-                        b_f=np.ones(h),
-                        b_g=np.zeros(h),
-                        b_o=np.zeros(h),
+                        weights=np.concatenate(weight((4, in_dim + h, h), in_dim + h, h), axis=1),
+                        bias=np.repeat([0.0, 1.0, 0.0, 0.0], h),
                     )
                 )
                 in_dim = h
@@ -285,13 +279,6 @@ def _build_params(
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
-
-
-def _fused_gates(layer: LstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
-    """The layer's (in+hidden, 4 hidden) weight and (4 hidden,) bias, gate blocks i, f, g, o."""
-    w = np.concatenate([layer.w_i, layer.w_f, layer.w_g, layer.w_o], axis=1)
-    b = np.concatenate([layer.b_i, layer.b_f, layer.b_g, layer.b_o])
-    return w, b
 
 
 def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,11 +306,10 @@ def lstm_cell_step(
             f"layer ({layer.in_dim}, {layer.hidden})"
         )
     z = np.concatenate([x, h], axis=-1)
-    i, f, o = (
-        0.5 * (1.0 + np.tanh(0.5 * (z @ w + b)))
-        for w, b in ((layer.w_i, layer.b_i), (layer.w_f, layer.b_f), (layer.w_o, layer.b_o))
-    )
-    g = np.tanh(z @ layer.w_g + layer.b_g)
+    blocks = [slice(k * layer.hidden, (k + 1) * layer.hidden) for k in range(4)]
+    i, f, g, o = (z @ layer.weights[:, s] + layer.bias[s] for s in blocks)
+    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * a)) for a in (i, f, o))
+    g = np.tanh(g)
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
@@ -351,13 +337,11 @@ def lstm_forward(
     for layer in layers:
         hid = layer.hidden
         scale, offset = _gate_affine(hid)
-        w, bias = _fused_gates(layer)
-        w *= scale
-        bias *= scale
+        w = layer.weights * scale
         wx, wh = w[: layer.in_dim], w[layer.in_dim :]
         gates = np.empty((t_len, b, 4 * hid))
         np.matmul(x.reshape(t_len * b, -1), wx, out=gates.reshape(t_len * b, 4 * hid))
-        gates += bias
+        gates += layer.bias * scale
         blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
         c = np.empty((t_len, b, hid))
         tc = np.empty_like(c)
@@ -382,14 +366,14 @@ def lstm_forward(
 
 def lstm_backward(
     d_final: np.ndarray, cache: list[dict[str, np.ndarray]], layers: list[LstmLayerParams]
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """BPTT from the final top hidden state back to the input sequence.
 
-    Returns (d_input_seq (B, T, d), per-layer gradient dicts keyed like the
-    param fields). Each step does one recurrent matmul; the weight, bias and
-    input gradients of a layer come from one matmul or sum over all steps.
+    Returns (d_input_seq (B, T, d), per-layer (dweights, dbias)). Each step
+    does one recurrent matmul; the weight, bias and input gradients of a layer
+    come from one matmul or sum over all steps.
     """
-    grads: list[dict[str, np.ndarray]] = []
+    grads: list[tuple[np.ndarray, np.ndarray]] = []
     dx = None
     for lc, layer in zip(reversed(cache), reversed(layers)):
         dx, layer_grads = _lstm_layer_backward(d_final, dx, lc, layer)
@@ -402,8 +386,8 @@ def _lstm_layer_backward(
     d_seq: Optional[np.ndarray],
     lc: dict[str, np.ndarray],
     layer: LstmLayerParams,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """BPTT through one layer: (dx (T, B, in), gradients keyed like the param fields).
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """BPTT through one layer: (dx (T, B, in), (dweights, dbias)).
 
     The gradient reaching the layer's outputs is `d_seq` (T, B, hidden) from
     the layer above or, when that is None, `d_last` (B, hidden) at the last
@@ -412,8 +396,7 @@ def _lstm_layer_backward(
     hid, in_dim = layer.hidden, layer.in_dim
     x, gates, c, tc, h = lc["x"], lc["gates"], lc["c"], lc["tc"], lc["h"]
     t_len, b, _ = gates.shape
-    w, _ = _fused_gates(layer)
-    wh_t = w[in_dim:].T
+    wh_t = layer.weights[in_dim:].T
     gate_blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
     da = np.empty_like(gates)  # gradient at the fused pre-activations
     upstream = np.empty((b, 4 * hid))
@@ -457,11 +440,8 @@ def _lstm_layer_backward(
         ]
     )
     db = flat.sum(axis=0)
-    dx = (flat @ w[:in_dim].T).reshape(t_len, b, in_dim)
-    cols = [slice(k * hid, (k + 1) * hid) for k in range(4)]
-    grads = {f"w_{gate}": dw[:, s] for gate, s in zip("ifgo", cols)}
-    grads.update({f"b_{gate}": db[s] for gate, s in zip("ifgo", cols)})
-    return dx, grads
+    dx = (flat @ layer.weights[:in_dim].T).reshape(t_len, b, in_dim)
+    return dx, (dw, db)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +537,15 @@ def model_backward(
         vc = cache["views"][view]
         if cfg.temporal:
             dpooled, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])
-            for i, layer_g in enumerate(lstm_grads):
-                for name, arr in layer_g.items():
-                    grads[f"lstm.{view}.{i}.{name}"] = arr
         else:
-            dpooled = dpart.reshape(b, cfg.T, cfg.pooled_dim)
+            dpooled, lstm_grads = dpart.reshape(b, cfg.T, cfg.pooled_dim), []
         dx, graph_grads = spatial_encode_backward(
             dpooled, vc["spatial"], params.graph[view], want_input_grad
         )
-        for i, (dw, dbias) in enumerate(graph_grads):
-            grads[f"graph.{view}.{i}.weights"] = dw
-            grads[f"graph.{view}.{i}.bias"] = dbias
+        for kind, layer_grads in (("graph", graph_grads), ("lstm", lstm_grads)):
+            for i, (dw, dbias) in enumerate(layer_grads):
+                grads[f"{kind}.{view}.{i}.weights"] = dw
+                grads[f"{kind}.{view}.{i}.bias"] = dbias
         if dfeatures is not None:
             dfeatures[:, :, vc["block"], :] += dx
     return grads, dfeatures
@@ -592,8 +570,25 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 _CHECKPOINT_META = ("schema", "config", "seed")
 
 
+def _stack_v1_gates(tensors: dict[str, np.ndarray], params: ModelParams) -> None:
+    """Stack the eight schema /1 per-gate tensors of each LSTM layer into `weights` and `bias`."""
+    for view, layers in params.lstm.items():
+        for i in range(len(layers)):
+            for field_name, axis in (("weights", 1), ("bias", 0)):
+                name = f"lstm.{view}.{i}.{field_name}"
+                if name in tensors:
+                    raise InvalidRecordError(f"checkpoint tensors: unexpected {name} in a /1 file")
+                parts = [f"lstm.{view}.{i}.{field_name[0]}_{gate}" for gate in "ifgo"]
+                try:
+                    tensors[name] = np.concatenate([tensors.pop(part) for part in parts], axis=axis)
+                except KeyError as exc:
+                    raise InvalidRecordError(f"checkpoint tensors: missing {exc}") from exc
+                except (ValueError, TypeError) as exc:
+                    raise InvalidRecordError(f"{parts}: per-gate tensors do not stack: {exc}") from exc
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Rebuild the parameters `save_checkpoint` wrote.
+    """Rebuild the parameters `save_checkpoint` wrote, at this schema or at /1.
 
     A file that is not an `.npz` archive, a missing field or tensor, a config
     that lacks a field, an unexpected tensor, or a tensor of the wrong shape or
@@ -604,9 +599,12 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         if missing:
             raise InvalidRecordError(f"checkpoint lacks {missing}")
         schema = str(data["schema"])
-        if schema != CHECKPOINT_SCHEMA:
+        if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
             raise InvalidRecordError(f"unexpected checkpoint schema {schema!r}")
         config = ModelConfig.from_json(str(data["config"]))
         params = _build_params(config, int(data["seed"]), lambda shape, *_: np.empty(shape))
-        params.load_arrays({k: data[k] for k in data.files if k not in _CHECKPOINT_META})
+        tensors = {k: data[k] for k in data.files if k not in _CHECKPOINT_META}
+    if schema == _CHECKPOINT_SCHEMA_V1:
+        _stack_v1_gates(tensors, params)
+    params.load_arrays(tensors)
     return params

@@ -7,26 +7,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError, NumericFaultError, ShapeError
+from .errors import InvalidConfigError, NumericFaultError
 from .ingest import ClipDataset
 from .model import ModelParams, model_backward, model_forward, softmax
-from .types import NUM_ACTIONS
-
-
-def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true classes.
-
-    Takes already-normalized probability rows; training itself uses the fused
-    log-softmax path in `loss_and_grads` for stability.
-    """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probabilities.ndim != 2 or probabilities.shape[1] != NUM_ACTIONS:
-        raise ShapeError(f"expected (batch, {NUM_ACTIONS}) probabilities, got {probabilities.shape}")
-    if labels.min() < 0 or labels.max() >= NUM_ACTIONS:
-        raise ShapeError(f"label outside [0, {NUM_ACTIONS})")
-    picked = probabilities[np.arange(len(labels)), labels]
-    return float(-np.log(picked).mean())
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ CATEGORY_GROUPS: dict[str, tuple[str, ...]] = {
     "pedestrian": ("pedestrian",),
     "traffic": ("traffic_light", "stop_sign"),
 }
-SUPER_CATEGORIES: tuple[str, ...] = ("car", "pedestrian", "traffic")
 KNOWN_CATEGORIES = frozenset(c for g in CATEGORY_GROUPS.values() for c in g)
 
 _SUPER_OF = {raw: sup for sup, raws in CATEGORY_GROUPS.items() for raw in raws}

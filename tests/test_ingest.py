@@ -1,6 +1,16 @@
 """Data preparation: downsampling, labeling, clip assembly, splits, archives."""
+import copy
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speedcast.cli import main
 
 from speedcast.errors import DataAlignmentError, InvalidConfigError, InvalidRecordError
 from speedcast.ingest import (
@@ -331,6 +341,99 @@ class TestLogIO:
         path.write_text("\n".join(rows) + "\n")
         sessions = read_detection_log(path)
         assert [f.frame_index for f in sessions["a"]] == [0, 2]
+
+
+DETECTION_RECORD = {
+    "session": "s000", "frame_index": 3, "timestamp": 1.0, "width": 1280, "height": 720,
+    "objects": [{"category": "car", "x1": 10.0, "y1": 20.0, "x2": 200.0, "y2": 150.0, "confidence": 0.9}],
+}
+SENSOR_RECORD = {
+    "session": "s000", "frame_index": 3, "brake_kpa": 0.0, "accel_pct": 30.0, "steer_deg": 1.5,
+    "scenario": "urban", "is_moving": True,
+}
+# Field paths of each record by the JSON type they must hold.
+LOG_FIELDS = {
+    "detections": {
+        "integer": [("frame_index",), ("width",), ("height",)],
+        "number": [("timestamp",)] + [("objects", 0, k) for k in ("x1", "y1", "x2", "y2", "confidence")],
+        "string": [("session",), ("objects", 0, "category")],
+        "list": [("objects",)],
+    },
+    "sensors": {
+        "integer": [("frame_index",)],
+        "number": [("brake_kpa",), ("accel_pct",), ("steer_deg",)],
+        "string": [("session",), ("scenario",)],
+        "flag": [("is_moving",)],  # optional: true, false or null
+    },
+}
+_texts = st.text(max_size=4)
+_fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+_containers = st.one_of(st.lists(st.integers(), max_size=2), st.dictionaries(_texts, st.integers(), max_size=2))
+WRONG_TYPES = {
+    "integer": st.one_of(_texts, st.booleans(), _fractions, _containers),
+    "number": st.one_of(_texts, st.booleans(), _containers),
+    "string": st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), _containers),
+    "list": st.one_of(_texts, st.integers(), st.dictionaries(_texts, st.integers(), max_size=2)),
+    "flag": st.one_of(_texts, st.integers(), st.floats(allow_nan=False), _containers),
+}
+BIG = "__1e999__"  # replaced by a literal that parses to infinity
+
+
+@st.composite
+def corrupted_log_lines(draw):
+    """(log name, one JSON line that is a valid record with exactly one corruption)."""
+    log = draw(st.sampled_from(sorted(LOG_FIELDS)))
+    record = copy.deepcopy(DETECTION_RECORD if log == "detections" else SENSOR_RECORD)
+    fields = LOG_FIELDS[log]
+    corruption = draw(st.sampled_from(["drop", "wrong-type", "null", "non-finite", "non-object", "truncated"]))
+    if corruption == "non-object":
+        return log, json.dumps(draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(), _texts, st.none())))
+    if corruption == "truncated":
+        line = json.dumps(record)
+        return log, line[: draw(st.integers(1, len(line) - 1))]
+    kinds = {"non-finite": ["integer", "number"], "drop": [k for k in fields if k != "flag"]}
+    kinds["null"] = kinds["drop"]
+    kind = draw(st.sampled_from(kinds.get(corruption, sorted(fields))))
+    *parents, key = draw(st.sampled_from(fields[kind]))
+    target = record
+    for step in parents:
+        target = target[step]
+    if corruption == "drop":
+        del target[key]
+    elif corruption == "null":
+        target[key] = None
+    elif corruption == "non-finite":
+        target[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf"), BIG]))
+    else:
+        target[key] = draw(WRONG_TYPES[kind])
+    return log, json.dumps(record).replace(f'"{BIG}"', "1e999")
+
+
+class TestLogValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_log_lines(), st.integers(0, 2))
+    def test_corrupted_record_is_rejected_with_its_line(self, case, valid_before):
+        """Any one corruption of a valid record fails the reader at path:line and `prepare` with exit 3."""
+        log, bad_line = case
+        valid = {"detections": json.dumps(DETECTION_RECORD), "sensors": json.dumps(SENSOR_RECORD)}
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = Path(tmp)
+            for name, line in valid.items():
+                lines = [line] * valid_before + ([bad_line] if name == log else []) + [line]
+                (logs / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+            path = logs / f"{log}.jsonl"
+            reader = read_detection_log if log == "detections" else read_sensor_log
+            with pytest.raises(InvalidRecordError, match=re.escape(f"{path}:{valid_before + 1}:")):
+                reader(path)
+            assert main(["prepare", "--logs", str(logs), "--out", str(logs / "out")]) == 3
+
+    def test_valid_records_parse(self, tmp_path):
+        (tmp_path / "detections.jsonl").write_text(json.dumps(DETECTION_RECORD) + "\n")
+        (tmp_path / "sensors.jsonl").write_text(json.dumps({**SENSOR_RECORD, "is_moving": None}) + "\n")
+        (frame,) = read_detection_log(tmp_path / "detections.jsonl")["s000"]
+        (sample,) = read_sensor_log(tmp_path / "sensors.jsonl")["s000"]
+        assert frame.objects[0].bbox == (10.0, 20.0, 200.0, 150.0)
+        assert sample.is_moving is None and sample.steering_angle == 1.5
 
 
 class TestLoadSessions:

@@ -1,5 +1,6 @@
 """Model wiring: variants, LSTM encoding, classifier, checkpoints."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from speedcast.model import (
 from speedcast.types import CategoryQuota
 
 from conftest import TINY_QUOTA, central_difference_errors, random_batch
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestVariantNames:
@@ -73,6 +76,21 @@ class TestConfigWiring:
             ModelConfig(T=0)
         with pytest.raises(InvalidConfigError):
             ModelConfig(K=-1)
+        for bad in (
+            {"lstm_layers": 0},
+            {"lstm_hidden": 0},
+            {"graph_widths": ()},
+            {"graph_widths": (16, 0)},
+            {"mlp_widths": (0, 32)},
+            {"mlp_widths": (8, 8, 8)},
+            {"mlp_widths": (8,)},
+        ):
+            with pytest.raises(InvalidConfigError, match="bad sizes"):
+                ModelConfig(**bad)
+        for bad in ({"lstm_hidden": 8.5}, {"K": 1.0}, {"graph_widths": (16, True)}, {"T": "3"}):
+            with pytest.raises(InvalidConfigError, match="integers"):
+                ModelConfig(**bad)
+        assert ModelConfig(T=np.int64(3), mlp_widths=(np.int32(8), 8)).T == 3
 
 
 class TestInit:
@@ -87,8 +105,9 @@ class TestInit:
         params = init_params(tiny_model_config, seed=0)
         for layers in params.lstm.values():
             for layer in layers:
-                assert np.all(layer.b_f == 1.0)
-                assert np.all(layer.b_i == 0.0)
+                i, f, g, o = np.split(layer.bias, 4)
+                assert np.all(f == 1.0)
+                assert np.all(np.concatenate([i, g, o]) == 0.0)
 
     def test_clone_is_independent(self, tiny_model_config):
         params = init_params(tiny_model_config, seed=0)
@@ -99,9 +118,6 @@ class TestInit:
     def test_non_temporal_variants_have_no_lstm(self):
         cfg = ModelConfig(variant="base_multi", quota=TINY_QUOTA)
         assert init_params(cfg, seed=0).lstm == {}
-
-
-GATES = ("i", "f", "g", "o")
 
 
 @st.composite
@@ -117,8 +133,8 @@ def lstm_stacks(draw):
     reach = draw(st.floats(min_value=0.1, max_value=1e3))
     layers = [
         LstmLayerParams(
-            **{f"w_{g}": rng.normal(size=(d_in + h, h)) / np.sqrt(d_in + h) for g in GATES},
-            **{f"b_{g}": rng.uniform(-reach, reach, size=h) for g in GATES},
+            weights=rng.normal(size=(d_in + h, 4 * h)) / np.sqrt(d_in + h),
+            bias=rng.uniform(-reach, reach, size=4 * h),
         )
         for d_in, h in zip(widths[:-1], widths[1:])
     ]
@@ -186,9 +202,9 @@ class TestFusedLstmProperties:
             return float((lstm_forward(seq, layers)[0] * d_final).sum())
 
         pairs = [
-            (getattr(layer, name), g[name])
-            for layer, g in zip(layers, grads)
-            for name in [f"{kind}_{gate}" for kind in "wb" for gate in GATES]
+            pair
+            for layer, (dw, db) in zip(layers, grads)
+            for pair in ((layer.weights, dw), (layer.bias, db))
         ]
         assert max(central_difference_errors(objective, pairs + [(seq, d_seq)])) < 1e-6
 
@@ -231,6 +247,11 @@ def drop_config_field(config, name):
     fields = json.loads(str(config))
     del fields[name]
     return np.array(json.dumps(fields))
+
+
+def edit_config(config, **changes):
+    """A stored config JSON with some fields replaced."""
+    return np.array(json.dumps({**json.loads(str(config)), **changes}))
 
 
 class TestCheckpoint:
@@ -286,8 +307,15 @@ class TestCheckpoint:
                 lambda d: d.update({"config": np.array(ModelConfig().to_json().replace("[20, 10, 10]", "5"))}),
                 "wrong type",
             ),
+            (lambda d: d.update({"config": edit_config(d["config"], mlp_widths=[8, 8, 8])}), "invalid"),
+            (lambda d: d.update({"config": edit_config(d["config"], T=0)}), "invalid"),
+            (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=0)}), "invalid"),
+            (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=8.5)}), "invalid"),
         ],
-        ids=["missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json", "config-type"],
+        ids=[
+            "missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json",
+            "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
+        ],
     )
     def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"
@@ -295,3 +323,36 @@ class TestCheckpoint:
         self._rewrite(path, edit)
         with pytest.raises(InvalidRecordError, match=named):
             load_checkpoint(path)
+
+    def test_schema_1_checkpoint_loads_to_stored_probabilities(self):
+        """A per-gate checkpoint written before the fused layout predicts exactly as it did."""
+        params = load_checkpoint(DATA / "checkpoint_v1_full.npz")
+        with np.load(DATA / "checkpoint_v1_full_batch.npz") as batch:
+            probs, _, _ = model_forward(batch["features"], batch["mask"], params)
+            np.testing.assert_array_equal(probs, batch["probs"])
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.pop("lstm.pedestrian.1.w_g"), "lstm.pedestrian.1.w_g"),
+            (lambda d: d.update({"lstm.car.0.w_f": np.zeros(3)}), "lstm.car.0.w_f.*do not stack"),
+            (lambda d: d.update({"lstm.car.0.weights": np.zeros(3)}), "lstm.car.0.weights"),
+        ],
+        ids=["missing-gate", "gate-shape", "mixed-layouts"],
+    )
+    def test_schema_1_foreign_content_rejected_by_name(self, tmp_path, edit, named):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes((DATA / "checkpoint_v1_full.npz").read_bytes())
+        self._rewrite(path, edit)
+        with pytest.raises(InvalidRecordError, match=named):
+            load_checkpoint(path)
+
+    def test_saved_layout_is_one_pair_per_layer(self, tmp_path):
+        params = init_params(ModelConfig(), seed=0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(params, path)
+        with np.load(path) as data:
+            assert str(data["schema"]) == "speedcast-checkpoint/2"
+            tensors = [k for k in data.files if k not in ("schema", "config", "seed")]
+        assert len(tensors) == 30  # 3 views x (2 graph + 2 LSTM layers) x 2, plus 6 classifier
+        assert params.lstm["car"][0].weights.shape == (32 + 64, 4 * 64)
