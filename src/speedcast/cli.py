@@ -272,10 +272,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     mask[:, :, 0] = True  # keep at least one real car per frame
     features[~mask] = 0.0
     labels = rng.integers(0, 4, size=batch)
-    worst = gradient_check(features, mask, labels, params)
+    normwise: dict[str, float] = {}
+    worst = gradient_check(features, mask, labels, params, normwise=normwise)
     worst_overall = max(worst.values())
-    for name in sorted(worst, key=worst.get, reverse=True)[:5]:
-        print(f"  {name}: {worst[name]:.3e}")
+    print("tensor: worst coordinate error (the gate), norm-wise error")
+    for name in sorted(worst, key=lambda n: (worst[n], normwise[n]), reverse=True):
+        print(f"  {name}: {worst[name]:.3e}  {normwise[name]:.3e}")
     print(f"max relative error {worst_overall:.3e} (tolerance {args.tolerance:.1e})")
     if worst_overall > args.tolerance:
         print("gradient check FAILED", file=sys.stderr)

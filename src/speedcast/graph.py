@@ -208,18 +208,23 @@ class Segments:
         return np.add.reduceat(h, self.starts, axis=0)
 
     def mean(self, h: np.ndarray) -> np.ndarray:
-        return self.sum(h) / self.sizes[:, None]
+        return self.divide_by_sizes(self.sum(h))
+
+    def divide_by_sizes(self, totals: np.ndarray) -> np.ndarray:
+        """Divide each segment's row of `totals` by its size, in place, keeping the dtype."""
+        totals /= self.sizes[:, None]
+        return totals
 
 
-def hop_coefficients(order: int) -> tuple[np.ndarray, np.ndarray]:
+def hop_coefficients(order: int, dtype: np.dtype = np.float64) -> tuple[np.ndarray, np.ndarray]:
     """(c, e) with T_k(L_tilde) = c_k I + e_k P on the real rows of a complete graph.
 
     There L_tilde = -P, and P (the per-graph mean) is a projection, so T_k acts
     as T_k(0) = cos(k pi / 2) off the mean direction and T_k(-1) = (-1)^k on it.
     """
     k = np.arange(order + 1)
-    c = np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
-    return c, np.where(k % 2 == 0, 1.0, -1.0) - c
+    c = np.array([1.0, 0.0, -1.0, 0.0], dtype=dtype)[k % 4]
+    return c, np.where(k % 2 == 0, 1.0, -1.0).astype(dtype) - c
 
 
 def cheb_layer_forward(
@@ -236,7 +241,7 @@ def cheb_layer_forward(
     if h.shape[-1] != params.in_dim:
         raise ShapeError(f"features width {h.shape[-1]} != layer in_dim {params.in_dim}")
     act, _ = ACTIVATIONS[activation]
-    c, e = hop_coefficients(params.order)
+    c, e = hop_coefficients(params.order, params.weights.dtype)
     a = np.tensordot(c, params.weights, axes=1)
     b = np.tensordot(e, params.weights, axes=1)
     mean = segments.mean(h)
@@ -257,13 +262,13 @@ def cheb_layer_backward(
     segments = cache["segments"]
     dz = dy * grad(cache["z"])
     dz_sum = segments.sum(dz)
-    c, e = hop_coefficients(params.order)
+    c, e = hop_coefficients(params.order, params.weights.dtype)
     da = cache["h"].T @ dz
     db = cache["mean"].T @ dz_sum
     dweights = c[:, None, None] * da + e[:, None, None] * db
     if not want_dh:
         return None, dweights, dz.sum(axis=0)
-    dh = dz @ cache["a"].T + ((dz_sum / segments.sizes[:, None]) @ cache["b"].T)[segments.ids]
+    dh = dz @ cache["a"].T + (segments.divide_by_sizes(dz_sum) @ cache["b"].T)[segments.ids]
     return dh, dweights, dz.sum(axis=0)
 
 
@@ -285,7 +290,7 @@ def spatial_encode_forward(
         h, cache = cheb_layer_forward(h, segments, layer, activation)
         caches.append(cache)
     maxima = np.maximum.reduceat(h, segments.starts, axis=0)
-    pooled = np.zeros((segments.nonempty.size, h.shape[-1]))
+    pooled = np.zeros((segments.nonempty.size, h.shape[-1]), dtype=h.dtype)
     pooled[segments.nonempty] = maxima
     cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "mask": mask}
     return pooled.reshape(mask.shape[:-1] + (h.shape[-1],)), cache
@@ -322,6 +327,6 @@ def spatial_encode_backward(
     if not want_input_grad:
         return None, grads
     mask = cache["mask"]
-    dx = np.zeros(mask.shape + (dy.shape[-1],))
+    dx = np.zeros(mask.shape + (dy.shape[-1],), dtype=dy.dtype)
     dx[mask] = dy
     return dx, grads

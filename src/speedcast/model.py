@@ -1,7 +1,10 @@
 """Parallel per-view LSTM encoders, MLP classifier, and full-model forward/backward.
 
-All math is float64 numpy; the backward pass is hand-written reverse mode and
-is checked against central finite differences in the test suite.
+Every kernel computes in the dtype of its inputs. Parameters, checkpoints and
+inference are float64; training computes each batch in float32 on float64
+master weights (see `train.train`). The backward pass is hand-written reverse
+mode and is checked against central finite differences in float64 in the
+test suite.
 """
 from __future__ import annotations
 
@@ -199,9 +202,14 @@ class ModelParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return dict(self.named_arrays())
 
-    def clone(self) -> "ModelParams":
-        """An independent copy: no tensor is shared with this instance."""
-        return copy.deepcopy(self)
+    def clone(self, dtype: Optional[np.dtype] = None) -> "ModelParams":
+        """An independent copy, every tensor cast to `dtype` if one is given.
+
+        No tensor is shared with this instance.
+        """
+        # deepcopy takes an object found in its memo as that object's copy.
+        memo = {} if dtype is None else {id(a): a.astype(dtype) for _, a in self.named_arrays()}
+        return copy.deepcopy(self, memo)
 
     def load_arrays(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite every tensor from `values`, which must hold exactly these names and shapes."""
@@ -281,7 +289,7 @@ def _build_params(
 # ---------------------------------------------------------------------------
 
 
-def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_affine(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """(scale, offset) per fused column: gate = scale * tanh(scale * a) + offset.
 
     On the sigmoid blocks (i, f, o) this is sigmoid(a) = 0.5 (1 + tanh(a / 2)),
@@ -289,8 +297,8 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     tanh(a). Scaling by a power of two is exact in floating point, so folding
     the inner scale into the weights changes no bit of the pre-activation.
     """
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
-    return scale, np.repeat([0.5, 0.5, 0.0, 0.5], hidden)
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hidden)
+    return scale, np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), hidden)
 
 
 def lstm_cell_step(
@@ -325,25 +333,26 @@ def lstm_forward(
     post-activation `gates` (blocks i, f, g, o), the cell state `c`, `tc` =
     tanh(c) and the hidden state `h`, which is also the next layer's `x`.
     Each layer projects all T inputs with one matmul and then does one
-    recurrent matmul per step.
+    recurrent matmul per step. Buffers take the dtype of `h_seq`.
     """
     if h_seq.ndim != 3 or h_seq.shape[1] < 1:
         raise ShapeError(f"sequence must be (B, T>=1, d), got {h_seq.shape}")
     b, t_len, width = h_seq.shape
     if layers and width != layers[0].in_dim:
         raise ShapeError(f"sequence width {width} != layer in_dim {layers[0].in_dim}")
+    dtype = h_seq.dtype
     x = np.ascontiguousarray(h_seq.transpose(1, 0, 2))
     cache: list[dict[str, np.ndarray]] = []
     for layer in layers:
         hid = layer.hidden
-        scale, offset = _gate_affine(hid)
+        scale, offset = _gate_affine(hid, dtype)
         w = layer.weights * scale
         wx, wh = w[: layer.in_dim], w[layer.in_dim :]
-        gates = np.empty((t_len, b, 4 * hid))
+        gates = np.empty((t_len, b, 4 * hid), dtype=dtype)
         np.matmul(x.reshape(t_len * b, -1), wx, out=gates.reshape(t_len * b, 4 * hid))
         gates += layer.bias * scale
         blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
-        c = np.empty((t_len, b, hid))
+        c = np.empty((t_len, b, hid), dtype=dtype)
         tc = np.empty_like(c)
         h = np.empty_like(c)
         for t in range(t_len):
@@ -371,12 +380,15 @@ def lstm_backward(
 
     Returns (d_input_seq (B, T, d), per-layer (dweights, dbias)). Each step
     does one recurrent matmul; the weight, bias and input gradients of a layer
-    come from one matmul or sum over all steps.
+    come from one matmul or sum over all steps. All layers share one buffer
+    for the gradient at their pre-activations, sized for the widest layer.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     dx = None
+    da_buffer = np.empty(max(lc["gates"].size for lc in cache), dtype=cache[-1]["gates"].dtype)
     for lc, layer in zip(reversed(cache), reversed(layers)):
-        dx, layer_grads = _lstm_layer_backward(d_final, dx, lc, layer)
+        da = da_buffer[: lc["gates"].size].reshape(lc["gates"].shape)
+        dx, layer_grads = _lstm_layer_backward(d_final, dx, lc, layer, da)
         grads.append(layer_grads)
     return dx.transpose(1, 0, 2), grads[::-1]
 
@@ -386,23 +398,24 @@ def _lstm_layer_backward(
     d_seq: Optional[np.ndarray],
     lc: dict[str, np.ndarray],
     layer: LstmLayerParams,
+    da: np.ndarray,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """BPTT through one layer: (dx (T, B, in), (dweights, dbias)).
 
     The gradient reaching the layer's outputs is `d_seq` (T, B, hidden) from
     the layer above or, when that is None, `d_last` (B, hidden) at the last
-    step only.
+    step only. `da`, shaped like the cached gates, is scratch space for the
+    gradient at the fused pre-activations; no returned array aliases it.
     """
     hid, in_dim = layer.hidden, layer.in_dim
     x, gates, c, tc, h = lc["x"], lc["gates"], lc["c"], lc["tc"], lc["h"]
     t_len, b, _ = gates.shape
     wh_t = layer.weights[in_dim:].T
     gate_blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
-    da = np.empty_like(gates)  # gradient at the fused pre-activations
-    upstream = np.empty((b, 4 * hid))
+    upstream = np.empty((b, 4 * hid), dtype=gates.dtype)
     u_i, u_f, u_g, u_o = upstream.reshape(b, 4, hid).transpose(1, 0, 2)
     dh = d_last if d_seq is None else d_seq[-1]
-    dc = np.zeros((b, hid))
+    dc = np.zeros((b, hid), dtype=gates.dtype)
     for t in range(t_len - 1, -1, -1):
         if t < t_len - 1:
             dh = da[t + 1] @ wh_t
@@ -527,7 +540,7 @@ def model_backward(
     dv, mlp_grads = _mlp_backward(dlogits, cache["mlp"], params.classifier)
     grads = {f"classifier.{k}": v for k, v in mlp_grads.items()}
     dfeatures = (
-        np.zeros((b, cfg.T, cfg.quota.total, 4)) if want_input_grad else None
+        np.zeros((b, cfg.T, cfg.quota.total, 4), dtype=dv.dtype) if want_input_grad else None
     )
     offset = 0
     per_view = cfg.lstm_hidden if cfg.temporal else cfg.T * cfg.pooled_dim

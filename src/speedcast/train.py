@@ -1,4 +1,11 @@
-"""Cross-entropy objective, exact gradients, Adam updates, and the training loop."""
+"""Cross-entropy objective, exact gradients, Adam updates, and the training loop.
+
+Training is mixed precision: each batch's forward and backward run in
+float32 on a copy of the float64 master weights, and Adam applies the float32
+gradients to the masters and keeps its moments in float64 (Micikevicius et
+al., "Mixed Precision Training", ICLR 2018). Validation, the best snapshot,
+checkpoints and the gradient check use the float64 weights.
+"""
 from __future__ import annotations
 
 import time
@@ -10,6 +17,8 @@ import numpy as np
 from .errors import InvalidConfigError, NumericFaultError
 from .ingest import ClipDataset
 from .model import ModelParams, model_backward, model_forward, softmax
+
+COMPUTE_DTYPE = np.float32  # dtype of each training batch's forward and backward
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -84,11 +93,15 @@ def adam_step(
     state: AdamState,
     hyper: AdamHyper = AdamHyper(),
 ) -> None:
-    """Bias-corrected Adam update, applied to the parameter tensors in place."""
+    """Bias-corrected Adam update, applied to the parameter tensors in place.
+
+    Gradients of a lower precision are cast up to the parameters' dtype first,
+    so the moments and the update are computed at the parameters' precision.
+    """
     state.t += 1
     t = state.t
     for name, arr in params.named_arrays():
-        g = grads[name]
+        g = grads[name].astype(arr.dtype, copy=False)
         state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
         state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * g * g
         m_hat = state.m[name] / (1.0 - hyper.beta1**t)
@@ -182,6 +195,8 @@ def train(
 
     Iterates the dataset's (already oversampled) train indices in a fresh
     seeded order each epoch; validates on the val split after every epoch.
+    Each batch computes in COMPUTE_DTYPE on a copy of `params`, which stay
+    float64 and are updated in place; validation uses `params` themselves.
     """
     if len(dataset.train_idx) == 0 or len(dataset.val_idx) == 0:
         raise InvalidConfigError("train and val splits must be non-empty")
@@ -202,7 +217,8 @@ def train(
             for lo in range(0, len(order), config.batch_size):
                 batch = train_idx[order[lo : lo + config.batch_size]]
                 feats, mask, labels = dataset.subset(batch)
-                loss, grads, _ = loss_and_grads(feats, mask, labels, params)
+                compute = params.clone(COMPUTE_DTYPE)
+                loss, grads, _ = loss_and_grads(feats.astype(COMPUTE_DTYPE), mask, labels, compute)
                 adam_step(params, grads, state, hyper)
                 epoch_loss += loss
                 n_batches += 1
@@ -238,12 +254,15 @@ def gradient_check(
     params: ModelParams,
     step: float = 1e-5,
     abs_floor: float = 1e-8,
+    normwise: Optional[dict[str, float]] = None,
 ) -> dict[str, float]:
     """Compare every gradient coordinate against central finite differences.
 
     Returns per-tensor worst relative error. Coordinates whose absolute
     discrepancy is below `abs_floor` count as exact: there the difference is
     dominated by float64 roundoff of the loss evaluations, not by the gradient.
+    If `normwise` is given, it receives each tensor's norm-wise error
+    ||fd - g|| / max(||fd||, ||g||), which has no floor and so shows the margin.
     """
     _, grads, _ = loss_and_grads(features, mask, labels, params)
     worst: dict[str, float] = {}
@@ -252,6 +271,7 @@ def gradient_check(
         err = 0.0
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
+        fds = np.empty_like(gflat)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
@@ -259,9 +279,12 @@ def gradient_check(
             flat[idx] = orig - step
             down = batch_loss(features, mask, labels, params)
             flat[idx] = orig
-            fd = (up - down) / (2.0 * step)
+            fd = fds[idx] = (up - down) / (2.0 * step)
             diff = abs(fd - gflat[idx])
             if diff > abs_floor:
                 err = max(err, diff / max(abs(fd), abs(gflat[idx])))
         worst[name] = err
+        if normwise is not None:
+            scale = max(np.linalg.norm(fds), np.linalg.norm(gflat))
+            normwise[name] = float(np.linalg.norm(fds - gflat) / scale) if scale > 0 else 0.0
     return worst

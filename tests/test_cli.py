@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speedcast import train as train_module
 from speedcast.cli import main
 from speedcast.ingest import ClipDataset
 
@@ -174,6 +175,25 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_exits_five(self):
         assert main(["gradcheck", "--seed", "0", "--tolerance=-1"]) == 5
+
+    def test_reports_a_nonzero_normwise_error_per_tensor(self, capsys):
+        assert main(["gradcheck", "--seed", "0"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+        assert len(rows) == 30  # every tensor of the gradcheck model
+        for name, worst, normwise in rows:
+            assert 0.0 < float(normwise) < 1e-4, name
+
+    def test_halved_lstm_bias_gradient_fails(self, monkeypatch, capsys):
+        real = train_module.loss_and_grads
+
+        def halved(*args, **kwargs):
+            loss, grads, dfeatures = real(*args, **kwargs)
+            grads["lstm.car.0.bias"] = grads["lstm.car.0.bias"] * 0.5
+            return loss, grads, dfeatures
+
+        monkeypatch.setattr(train_module, "loss_and_grads", halved)
+        assert main(["gradcheck", "--seed", "0"]) == 5
+        assert "lstm.car.0.bias: 5.000e-01  5.000e-01" in capsys.readouterr().out
 
 
 class TestAblateCommand:

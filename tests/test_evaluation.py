@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from speedcast import evaluation
 from speedcast.errors import InvalidConfigError
 from speedcast.evaluation import (
     RESULTS_HEADER,
@@ -114,6 +115,20 @@ class TestSweep:
         failed = run_ablation(small_synth.sessions, bad, config)
         assert ok[0].error is None and ok[0].metrics is not None
         assert failed[0].error is not None and failed[0].metrics is None
+
+    def test_run_ablation_propagates_programming_errors(self, small_synth, monkeypatch):
+        """Only a SpeedcastError becomes a failed row; a bug in a cell stops the sweep."""
+
+        def broken_train(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(evaluation, "train", broken_train)
+        spec = SweepSpec(
+            T_set=(4,), FT_set=(1,), K_set=(1,), variants=("base",),
+            quotas=(TINY_QUOTA,), seeds=(0,),
+        )
+        with pytest.raises(TypeError, match="unexpected argument"):
+            run_ablation(small_synth.sessions, spec, TrainConfig(batch_size=128, max_epochs=1, seed=0))
 
     def test_results_table_well_formed(self, small_synth, tmp_path):
         spec = SweepSpec(

@@ -1,4 +1,5 @@
 """Model wiring: variants, LSTM encoding, classifier, checkpoints."""
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from speedcast.model import (
     lstm_backward,
     lstm_cell_step,
     lstm_forward,
+    model_backward,
     model_forward,
     normalize_variant,
     save_checkpoint,
@@ -240,6 +242,56 @@ class TestForward:
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(5, 4))
         np.testing.assert_allclose(softmax(logits), softmax(logits + 100.0), atol=1e-12)
+
+
+def float_dtypes(obj, path="cache"):
+    """(path, dtype) of every float array reachable through dicts, lists and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield path, obj.dtype
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from float_dtypes(value, f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from float_dtypes(value, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from float_dtypes(getattr(obj, f.name), f"{path}.{f.name}")
+
+
+class TestFloat32Compute:
+    """Training computes in float32; a kernel that promotes to float64 loses the speed-up silently."""
+
+    @pytest.mark.parametrize("K", [0, 1, 5])
+    @pytest.mark.parametrize("variant", ["base", "base_single", "base_multi", "base_t", "full"])
+    def test_forward_and_backward_stay_float32(self, variant, K):
+        cfg = ModelConfig(
+            T=3, K=K, quota=TINY_QUOTA, graph_widths=(4, 8), lstm_hidden=8,
+            mlp_widths=(8, 8), variant=variant,
+        )
+        params = init_params(cfg, seed=3).clone(np.float32)
+        features, mask, _ = random_batch(cfg, batch=4, seed=3)
+        mask[0, 1, :] = False  # one frame with no real node in any view
+        probs, logits, cache = model_forward(features.astype(np.float32), mask, params)
+        grads, dfeatures = model_backward(probs, cache, params, want_input_grad=True)
+        outputs = {"probs": probs, "logits": logits, "dfeatures": dfeatures, "grads": grads}
+        promoted = [
+            (path, dtype)
+            for path, dtype in [*float_dtypes(cache), *float_dtypes(outputs, "out")]
+            if dtype != np.float32
+        ]
+        assert promoted == []
+        assert set(grads) == set(params.arrays())
+
+    def test_clone_casts_every_tensor_and_shares_none(self, tiny_model_config):
+        params = init_params(tiny_model_config, seed=0)
+        low = params.clone(np.float32)
+        assert low.config == params.config and low.seed == params.seed
+        for (name, a), (_, b) in zip(params.named_arrays(), low.named_arrays()):
+            assert a.dtype == np.float64 and b.dtype == np.float32, name
+            np.testing.assert_array_equal(b, a.astype(np.float32))
+            assert not np.shares_memory(a, b)
 
 
 def drop_config_field(config, name):

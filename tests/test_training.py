@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from speedcast import train as train_module
 from speedcast.errors import InvalidConfigError, NumericFaultError
-from speedcast.model import ModelConfig, init_params, model_forward
+from speedcast.model import ModelConfig, init_params, model_forward, save_checkpoint
 from speedcast.train import (
     AdamHyper,
     AdamState,
@@ -89,6 +90,27 @@ class TestGradients:
         assert max(worst.values()) <= 1e-4
 
 
+def normwise_error(a, b):
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    return float(np.linalg.norm(a - b) / scale) if scale > 0 else 0.0
+
+
+class TestMixedPrecision:
+    @pytest.mark.parametrize("variant,K", [("full", 1), ("base", 5), ("base_multi", 0)])
+    def test_float32_loss_and_grads_match_float64(self, variant, K):
+        """Float32 compute is within 1e-4 norm-wise of float64, per tensor."""
+        cfg = ModelConfig(T=4, K=K, quota=TINY_QUOTA, variant=variant)
+        params = init_params(cfg, seed=7)
+        features, mask, labels = random_batch(cfg, batch=64, seed=7)
+        loss64, grads64, _ = loss_and_grads(features, mask, labels, params)
+        loss32, grads32, _ = loss_and_grads(
+            features.astype(np.float32), mask, labels, params.clone(np.float32)
+        )
+        assert abs(loss32 - loss64) <= 1e-4 * abs(loss64)
+        errors = {name: normwise_error(grads32[name], g) for name, g in grads64.items()}
+        assert max(errors.values()) <= 1e-4, errors
+
+
 class TestAdam:
     def test_single_step_hand_computation(self):
         cfg = ModelConfig(
@@ -118,6 +140,25 @@ class TestAdam:
         adam_step(params, grads, state)
         assert state.t == 2
         assert not np.allclose(state.m["classifier.b_out"], m_after)
+
+    def test_float32_gradients_update_float64_masters(self):
+        cfg = ModelConfig(
+            T=2, K=0, quota=TINY_QUOTA, graph_widths=(2, 2), mlp_widths=(2, 2),
+            variant="base",
+        )
+        rng = np.random.default_rng(0)
+        grads = {
+            name: rng.normal(size=a.shape).astype(np.float32)
+            for name, a in init_params(cfg).named_arrays()
+        }
+        mixed, exact = init_params(cfg, seed=0), init_params(cfg, seed=0)
+        mixed_state, exact_state = AdamState.for_params(mixed), AdamState.for_params(exact)
+        adam_step(mixed, grads, mixed_state)
+        adam_step(exact, {k: g.astype(np.float64) for k, g in grads.items()}, exact_state)
+        for name, arr in mixed.named_arrays():
+            assert arr.dtype == mixed_state.m[name].dtype == mixed_state.v[name].dtype == np.float64
+            np.testing.assert_array_equal(arr, exact.arrays()[name])
+            np.testing.assert_array_equal(mixed_state.v[name], exact_state.v[name])
 
 
 class TestEarlyStopper:
@@ -214,6 +255,30 @@ class TestTrainLoop:
         assert outs[0][1] == outs[1][1]
         for name in outs[0][0]:
             np.testing.assert_array_equal(outs[0][0][name], outs[1][0][name])
+
+    def test_steps_compute_in_float32_on_float64_masters(self, small_dataset, monkeypatch, tmp_path):
+        cfg = ModelConfig(
+            T=small_dataset.T, FT=small_dataset.FT, K=1, quota=small_dataset.quota,
+            graph_widths=(4, 8), lstm_hidden=8, mlp_widths=(8, 8), variant="full",
+        )
+        seen = set()
+        real = train_module.loss_and_grads
+
+        def spy(features, mask, labels, params, *rest):
+            seen.update({features.dtype, *(a.dtype for _, a in params.named_arrays())})
+            return real(features, mask, labels, params, *rest)
+
+        monkeypatch.setattr(train_module, "loss_and_grads", spy)
+        params = init_params(cfg, seed=4)
+        save_checkpoint(params, tmp_path / "init.npz")
+        best, report = train(small_dataset, params, TrainConfig(batch_size=128, max_epochs=2, seed=4))
+        assert seen == {np.dtype(np.float32)} and report.stop_epoch == 2
+        for name, arr in [*params.named_arrays(), *best.named_arrays()]:
+            assert arr.dtype == np.float64, name
+        save_checkpoint(best, tmp_path / "best.npz")
+        with np.load(tmp_path / "init.npz") as before, np.load(tmp_path / "best.npz") as after:
+            layout = [{k: (f[k].dtype, f[k].shape) for k in f.files} for f in (before, after)]
+        assert layout[0] == layout[1]
 
     def test_numeric_fault_aborts_cleanly(self, small_dataset):
         cfg = ModelConfig(
