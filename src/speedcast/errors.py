@@ -25,12 +25,6 @@ class InvalidRecordError(SpeedcastError):
     exit_code = 3
 
 
-class DegenerateGraphError(SpeedcastError):
-    """Graph has a zero-degree node; the normalized Laplacian is undefined."""
-
-    exit_code = 3
-
-
 class ShapeError(SpeedcastError):
     """Operand shapes are mutually inconsistent."""
 

@@ -1,4 +1,4 @@
-"""Complete-graph Chebyshev convolution: one ragged closed-form path and a dense oracle.
+"""Complete-graph Chebyshev convolution on a flat ragged batch of real nodes.
 
 Each frame of a view is a complete graph over its real detections, self-loops
 included; padded slots are isolated. On the real rows the rescaled Laplacian
@@ -7,13 +7,11 @@ T_k(L_tilde) = c_k (I - P) + (-1)^k P with c_k = cos(k pi / 2). A K-hop
 Chebyshev layer is therefore the DeepSets equivariant layer
 act(x A + mean(x) B + b), with A and B fixed sums of the hop weights W_k.
 
-* The production path (`spatial_encode_forward` / `spatial_encode_backward`)
-  gathers the real rows of a (B, T, n, f) batch into one flat ragged array,
-  one segment per non-empty graph, runs the closed-form layers on it and
-  max-pools each segment. Padded slots cost nothing.
-* The dense path (`GraphOperator`, `cheb_conv`, `cheb_conv_spectral`,
-  `masked_max_pool`) materializes one graph's Laplacian and Chebyshev basis;
-  it is the oracle the tests check the production path against.
+`spatial_encode_forward` / `spatial_encode_backward` gather the real rows of a
+(B, T, n, f) batch into one flat ragged array, one segment per non-empty graph,
+run the closed-form layers on it and max-pool each segment. Padded slots cost
+nothing. The dense per-graph Laplacian and Chebyshev recurrence this is checked
+against lives in the test suite (`tests/oracles.py`).
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateGraphError, InvalidConfigError, ShapeError
+from .errors import ShapeError
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -43,64 +41,6 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def build_adjacency(n_real: int, n_total: int) -> np.ndarray:
-    """All-ones block over real nodes (self-loops included); padded nodes isolated."""
-    if n_total <= 0:
-        raise InvalidConfigError(f"n_total must be positive, got {n_total}")
-    if not 0 <= n_real <= n_total:
-        raise InvalidConfigError(f"n_real {n_real} outside [0, {n_total}]")
-    a = np.eye(n_total, dtype=np.float64)
-    a[:n_real, :n_real] = 1.0
-    return a
-
-
-def adjacency_from_mask(mask: np.ndarray) -> np.ndarray:
-    """Mask-general form of build_adjacency: real nodes form the ones block."""
-    m = np.asarray(mask, dtype=np.float64)
-    return np.outer(m, m) + np.diag(1.0 - m)
-
-
-def normalized_laplacian(a: np.ndarray) -> np.ndarray:
-    """L = I - D^{-1/2} A D^{-1/2} with row-sum degrees."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    deg = a.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateGraphError("zero row-sum in adjacency; Laplacian undefined")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
-
-
-@dataclass
-class GraphOperator:
-    """Dense operator bundle for one graph: A, degrees, L, and L_tilde = L - I."""
-
-    adjacency: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-    l_tilde: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    @classmethod
-    def from_adjacency(cls, a: np.ndarray) -> "GraphOperator":
-        a = np.asarray(a, dtype=np.float64)
-        lap = normalized_laplacian(a)
-        return cls(
-            adjacency=a,
-            degree=np.diag(a.sum(axis=1)),
-            laplacian=lap,
-            l_tilde=lap - np.eye(a.shape[0]),
-        )
-
-    @classmethod
-    def for_padded_complete(cls, n_real: int, n_total: int) -> "GraphOperator":
-        return cls.from_adjacency(build_adjacency(n_real, n_total))
-
-
 @dataclass
 class ChebLayerParams:
     """One Chebyshev filter layer: hop weights (K+1, in, out) plus bias (out,)."""
@@ -115,71 +55,6 @@ class ChebLayerParams:
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[2]
-
-
-def chebyshev_basis(l_tilde: np.ndarray, order: int) -> list[np.ndarray]:
-    """T_0..T_order of the rescaled Laplacian via the three-term recurrence."""
-    n = l_tilde.shape[0]
-    basis = [np.eye(n)]
-    if order >= 1:
-        basis.append(l_tilde.copy())
-    for _ in range(2, order + 1):
-        basis.append(2.0 * l_tilde @ basis[-1] - basis[-2])
-    return basis
-
-
-def cheb_conv(
-    x: np.ndarray,
-    graph: GraphOperator,
-    params: ChebLayerParams,
-    activation: str = "relu",
-) -> np.ndarray:
-    """Dense reference convolution: act( sum_k T_k(L_tilde) X W_k + b )."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != graph.n:
-        raise ShapeError(f"features {x.shape} do not match graph with {graph.n} nodes")
-    if x.shape[1] != params.in_dim:
-        raise ShapeError(f"features width {x.shape[1]} != layer in_dim {params.in_dim}")
-    act, _ = ACTIVATIONS[activation]
-    basis = chebyshev_basis(graph.l_tilde, params.order)
-    z = np.zeros((graph.n, params.out_dim))
-    for t_k, w_k in zip(basis, params.weights):
-        z += t_k @ x @ w_k
-    return act(z + params.bias)
-
-
-def cheb_conv_spectral(
-    x: np.ndarray, graph: GraphOperator, params: ChebLayerParams, activation: str = "relu"
-) -> np.ndarray:
-    """Eigendecomposition oracle for cheb_conv: T_k applied to eigenvalues."""
-    act, _ = ACTIVATIONS[activation]
-    lam, u = np.linalg.eigh(graph.l_tilde)
-    z = np.zeros((graph.n, params.out_dim))
-    for k in range(params.order + 1):
-        tk_scalar = np.cos(k * np.arccos(np.clip(lam, -1.0, 1.0)))
-        tk = (u * tk_scalar) @ u.T
-        z += tk @ x @ params.weights[k]
-    return act(z + params.bias)
-
-
-def masked_max_pool(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Coordinate-wise max over mask-true rows; all-false gives the zero vector."""
-    y = np.asarray(y, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (y.shape[0],):
-        raise ShapeError(f"mask shape {mask.shape} does not match {y.shape[0]} rows")
-    if not mask.any():
-        return np.zeros(y.shape[1])
-    return y[mask].max(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Ragged closed-form path
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,9 @@ def derive_label(sensor: SensorSample) -> Optional[Action]:
     """Map pedal readings to an Action; None means coasting (sample excluded).
 
     Brake dominates when both pedals are active. "Full" vs "slight" is decided
-    against the per-scenario threshold, inclusive on the full side.
+    against the per-scenario threshold, inclusive on the full side. The sample
+    is taken as valid: `read_sensor_log` validates every row it reads.
     """
-    sensor.validate()
     if sensor.brake_pressure > 0:
         threshold = BRAKE_THRESHOLD_KPA[sensor.scenario]
         return Action.FULL_BRAKING if sensor.brake_pressure >= threshold else Action.SLIGHT_BRAKING
@@ -121,9 +121,9 @@ def select_top_n(
 
     Per view, detections are sorted confidence-descending (original index
     breaks ties) and kept up to that view's quota. Coordinates are normalized
-    by image dimensions; empty slots stay zero with mask False.
+    by image dimensions; empty slots stay zero with mask False. The frame is
+    taken as valid: `read_detection_log` validates every frame it reads.
     """
-    frame.validate()
     n = quota.total
     features = np.zeros((n, 4), dtype=np.float64)
     mask = np.zeros(n, dtype=bool)

@@ -301,28 +301,6 @@ def _gate_affine(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), hidden)
 
 
-def lstm_cell_step(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One standard LSTM cell update; accepts vectors or batches.
-
-    The per-gate reference the fused `lstm_forward` is tested against.
-    """
-    if x.shape[-1] != layer.in_dim or h.shape[-1] != layer.hidden:
-        raise ShapeError(
-            f"cell input widths ({x.shape[-1]}, {h.shape[-1]}) do not match "
-            f"layer ({layer.in_dim}, {layer.hidden})"
-        )
-    z = np.concatenate([x, h], axis=-1)
-    blocks = [slice(k * layer.hidden, (k + 1) * layer.hidden) for k in range(4)]
-    i, f, g, o = (z @ layer.weights[:, s] + layer.bias[s] for s in blocks)
-    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * a)) for a in (i, f, o))
-    g = np.tanh(g)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
 def lstm_forward(
     h_seq: np.ndarray, layers: list[LstmLayerParams]
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:

@@ -178,7 +178,6 @@ def _jitter_box(
 @dataclass
 class SynthResult:
     sessions: dict[str, tuple[list[FrameDetections], list[SensorSample]]]
-    latents: dict[tuple[str, int], LatentState]
     actions: dict[tuple[str, int], Optional[Action]]
     config: SynthConfig
 
@@ -192,7 +191,6 @@ def _generate_session(
 ) -> tuple[
     list[FrameDetections],
     list[SensorSample],
-    dict[int, LatentState],
     dict[int, Optional[Action]],
 ]:
     rng = np.random.default_rng(seed)
@@ -329,27 +327,24 @@ def _generate_session(
                 is_moving=not stopped,
             )
         )
-    return frames, sensors, latents, actions
+    return frames, sensors, actions
 
 
 def generate(config: SynthConfig) -> SynthResult:
-    """Produce per-session detection and sensor streams plus the latent truth."""
+    """Produce per-session detection and sensor streams plus the true action at each frame."""
     sessions: dict[str, tuple[list[FrameDetections], list[SensorSample]]] = {}
-    latents: dict[tuple[str, int], LatentState] = {}
     actions: dict[tuple[str, int], Optional[Action]] = {}
     n_highway = round(config.sessions * config.highway_fraction)
     for i in range(config.sessions):
         scenario = "highway" if i < n_highway else "urban"
         name = f"s{i:03d}"
-        frames, sensors, session_latents, session_actions = _generate_session(
+        frames, sensors, session_actions = _generate_session(
             name, scenario, config, derive_seed(config.seed, "session", i)
         )
         sessions[name] = (frames, sensors)
-        for t, state in session_latents.items():
-            latents[(name, t)] = state
         for t, action in session_actions.items():
             actions[(name, t)] = action
-    return SynthResult(sessions=sessions, latents=latents, actions=actions, config=config)
+    return SynthResult(sessions=sessions, actions=actions, config=config)
 
 
 def write_logs(result: SynthResult, out_dir: str | Path) -> tuple[Path, Path]:

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedcast.errors import InvalidConfigError, InvalidRecordError, ShapeError
+from speedcast.graph import ACTIVATIONS
 from speedcast.model import (
+    VARIANTS,
     LstmLayerParams,
     ModelConfig,
     init_params,
     load_checkpoint,
     lstm_backward,
-    lstm_cell_step,
     lstm_forward,
     model_backward,
     model_forward,
@@ -26,6 +27,7 @@ from speedcast.model import (
 from speedcast.types import CategoryQuota
 
 from conftest import TINY_QUOTA, central_difference_errors, random_batch
+from oracles import cell_step_loop, reference_forward
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,20 +145,6 @@ def lstm_stacks(draw):
     return layers, rng.normal(size=(b, t_len, widths[0])), rng.normal(size=(b, widths[-1]))
 
 
-def cell_step_loop(seq, layers):
-    """The top layer's last hidden state from `lstm_cell_step`, one step at a time."""
-    x = seq
-    for layer in layers:
-        h = np.zeros((seq.shape[0], layer.hidden))
-        c = np.zeros_like(h)
-        outs = []
-        for t in range(seq.shape[1]):
-            h, c = lstm_cell_step(x[:, t, :], h, c, layer)
-            outs.append(h)
-        x = np.stack(outs, axis=1)
-    return x[:, -1, :]
-
-
 class TestLstm:
     def test_forward_agrees_with_cell_steps(self, tiny_model_config):
         params = init_params(tiny_model_config, seed=1)
@@ -165,12 +153,6 @@ class TestLstm:
         seq = rng.normal(size=(2, 4, tiny_model_config.pooled_dim))
         final, _ = lstm_forward(seq, layers)
         np.testing.assert_allclose(final, cell_step_loop(seq, layers), atol=1e-14)
-
-    def test_cell_shape_check(self, tiny_model_config):
-        params = init_params(tiny_model_config, seed=1)
-        layer = params.lstm["car"][0]
-        with pytest.raises(ShapeError):
-            lstm_cell_step(np.zeros(3), np.zeros(layer.hidden), np.zeros(layer.hidden), layer)
 
     def test_sequence_rank_check(self, tiny_model_config):
         params = init_params(tiny_model_config, seed=1)
@@ -237,6 +219,35 @@ class TestForward:
         mask = {"short": mask[:, :, :-1], "float": mask.astype(float), "int": mask.astype(int)}[bad]
         with pytest.raises(ShapeError, match="mask"):
             model_forward(features, mask, params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_probabilities_match_reference_model(self, variant, data):
+        """The production forward equals the oracles composed: dense graphs, cell steps, plain MLP."""
+        draw = data.draw
+        cfg = ModelConfig(
+            T=draw(st.integers(1, 4)),
+            K=draw(st.integers(0, 6)),
+            quota=CategoryQuota(*draw(st.tuples(*[st.integers(1, 3)] * 3))),
+            graph_widths=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
+            lstm_hidden=draw(st.integers(1, 4)),
+            lstm_layers=draw(st.integers(1, 2)),
+            mlp_widths=(draw(st.integers(1, 5)), draw(st.integers(1, 5))),
+            variant=variant,
+            activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
+        )
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        params = init_params(cfg, seed=0)
+        for _, arr in params.named_arrays():
+            arr += rng.normal(scale=0.3, size=arr.shape)  # nonzero biases, off the init
+        # Padded slots keep random features: the model must ignore them.
+        features = rng.normal(size=(draw(st.integers(2, 3)), cfg.T, cfg.quota.total, 4))
+        mask = rng.uniform(size=features.shape[:3]) < 0.6
+        mask[0, 0] = False  # no real node in any view
+        mask[-1, -1] = True  # every slot real
+        probs, _, _ = model_forward(features, mask, params)
+        np.testing.assert_allclose(probs, reference_forward(features, mask, params), rtol=0, atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
