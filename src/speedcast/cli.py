@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SpeedcastError
+from .errors import InvalidConfigError, InvalidRecordError, SpeedcastError
 from .evaluation import (
     SweepSpec,
     evaluate,
@@ -61,10 +61,14 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed: in
 
 
 def _parse_quota(text: str) -> CategoryQuota:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SpeedcastError(f"--quota expects car,ped,traffic, got {text!r}")
-    return CategoryQuota(int(parts[0]), int(parts[1]), int(parts[2]))
+    """car,ped,traffic slot counts; anything but three positive integers is a config error."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+        if len(counts) == 3:
+            return CategoryQuota(*counts)
+    except (ValueError, InvalidRecordError):
+        pass
+    raise InvalidConfigError(f"--quota expects three positive counts car,ped,traffic, got {text!r}")
 
 
 def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
@@ -75,6 +79,8 @@ def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
 def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> TrainConfig:
     """TrainConfig from an optional JSON file, then the --batch-size/--max-epochs/--step-size flags."""
     overrides = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(overrides, dict):
+        raise InvalidConfigError(f"train config {path} is not a JSON object")
     overrides.setdefault("seed", seed)
     for name in ("batch_size", "max_epochs", "step_size"):
         if getattr(args, name) is not None:

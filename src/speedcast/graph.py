@@ -5,7 +5,9 @@ included; padded slots are isolated. On the real rows the rescaled Laplacian
 is L_tilde = -P, where P replaces each row by its graph's mean, so
 T_k(L_tilde) = c_k (I - P) + (-1)^k P with c_k = cos(k pi / 2). A K-hop
 Chebyshev layer is therefore the DeepSets equivariant layer
-act(x A + mean(x) B + b), with A and B fixed sums of the hop weights W_k.
+relu(x A + mean(x) B + b), with A and B fixed sums of the hop weights W_k.
+ReLU is the only nonlinearity, so a layer caches its output y and not the
+pre-activation: relu'(z) is 1 exactly where y > 0.
 
 `spatial_encode_forward` / `spatial_encode_backward` gather the real rows of a
 (B, T, n, f) batch into one flat ragged array, one segment per non-empty graph,
@@ -16,29 +18,11 @@ against lives in the test suite (`tests/oracles.py`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(pre: np.ndarray) -> np.ndarray:
-    return (pre > 0.0).astype(pre.dtype)
-
-
-def identity(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (relu, relu_grad),
-    "identity": (identity, lambda pre: np.ones_like(pre)),
-}
 
 
 @dataclass
@@ -103,26 +87,22 @@ def hop_coefficients(order: int, dtype: np.dtype = np.float64) -> tuple[np.ndarr
 
 
 def cheb_layer_forward(
-    h: np.ndarray,
-    segments: Segments,
-    params: ChebLayerParams,
-    activation: str = "relu",
+    h: np.ndarray, segments: Segments, params: ChebLayerParams
 ) -> tuple[np.ndarray, dict]:
-    """One Chebyshev layer on flat real rows: act(h A + mean(h) B + b).
+    """One Chebyshev layer on flat real rows: relu(h A + mean(h) B + b).
 
     h: (R, in_dim) rows grouped by `segments`. A = sum_k c_k W_k and
     B = sum_k e_k W_k (see `hop_coefficients`); K = 0 gives B = 0.
     """
     if h.shape[-1] != params.in_dim:
         raise ShapeError(f"features width {h.shape[-1]} != layer in_dim {params.in_dim}")
-    act, _ = ACTIVATIONS[activation]
     c, e = hop_coefficients(params.order, params.weights.dtype)
     a = np.tensordot(c, params.weights, axes=1)
     b = np.tensordot(e, params.weights, axes=1)
     mean = segments.mean(h)
-    z = h @ a + (mean @ b)[segments.ids] + params.bias
-    cache = {"h": h, "mean": mean, "z": z, "a": a, "b": b, "segments": segments, "activation": activation}
-    return act(z), cache
+    y = h @ a + (mean @ b)[segments.ids] + params.bias
+    np.maximum(y, 0.0, out=y)
+    return y, {"h": h, "mean": mean, "y": y, "a": a, "b": b, "segments": segments}
 
 
 def cheb_layer_backward(
@@ -131,11 +111,12 @@ def cheb_layer_backward(
     """Reverse mode through `cheb_layer_forward`: (dh, dweights, dbias).
 
     dW_k = c_k dA + e_k dB; P is symmetric, so dh = dz A^T + P dz B^T. dh is
-    None when `want_dh` is False.
+    None when `want_dh` is False. y = max(z, 0) is positive exactly where z is,
+    so `y > 0` is the ReLU derivative, 0 where y is NaN.
     """
-    _, grad = ACTIVATIONS[cache["activation"]]
     segments = cache["segments"]
-    dz = dy * grad(cache["z"])
+    y = cache["y"]
+    dz = dy * (y > 0.0).astype(y.dtype)
     dz_sum = segments.sum(dz)
     c, e = hop_coefficients(params.order, params.weights.dtype)
     da = cache["h"].T @ dz
@@ -151,7 +132,6 @@ def spatial_encode_forward(
     x: np.ndarray,
     mask: np.ndarray,
     layers: list[ChebLayerParams],
-    activation: str = "relu",
 ) -> tuple[np.ndarray, dict]:
     """Chebyshev stack then max pool over each graph's real nodes, for one view.
 
@@ -162,7 +142,7 @@ def spatial_encode_forward(
     h = x[mask]
     caches = []
     for layer in layers:
-        h, cache = cheb_layer_forward(h, segments, layer, activation)
+        h, cache = cheb_layer_forward(h, segments, layer)
         caches.append(cache)
     maxima = np.maximum.reduceat(h, segments.starts, axis=0)
     pooled = np.zeros((segments.nonempty.size, h.shape[-1]), dtype=h.dtype)

@@ -18,12 +18,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidRecordError, ShapeError
-from .graph import (
-    ACTIVATIONS,
-    ChebLayerParams,
-    spatial_encode_backward,
-    spatial_encode_forward,
-)
+from .graph import ChebLayerParams, spatial_encode_backward, spatial_encode_forward
 from .ingest import open_archive
 from .types import NUM_ACTIONS, CategoryQuota
 
@@ -34,25 +29,20 @@ _CHECKPOINT_SCHEMA_V1 = "speedcast-checkpoint/1"
 
 
 def normalize_variant(name: str) -> str:
+    """The VARIANTS entry `name` spells, case-free, with '+' or '-' for '_' or no '_' at all."""
     key = name.strip().lower().replace("+", "_").replace("-", "_")
-    aliases = {
-        "base": "base",
-        "base_single": "base_single",
-        "basesingle": "base_single",
-        "base_multi": "base_multi",
-        "basemulti": "base_multi",
-        "base_t": "base_t",
-        "baset": "base_t",
-        "full": "full",
-    }
-    if key not in aliases:
-        raise InvalidConfigError(f"unknown variant {name!r}; expected one of {VARIANTS}")
-    return aliases[key]
+    for variant in VARIANTS:
+        if key in (variant, variant.replace("_", "")):
+            return variant
+    raise InvalidConfigError(f"unknown variant {name!r}; expected one of {VARIANTS}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and problem-setting knobs echoed into every checkpoint."""
+    """Architecture and problem-setting knobs echoed into every checkpoint.
+
+    The graph layers and the MLP's hidden layers are always rectified (ReLU).
+    """
 
     T: int = 10
     FT: int = 1
@@ -63,7 +53,6 @@ class ModelConfig:
     lstm_layers: int = 2
     mlp_widths: tuple[int, int] = (64, 32)
     variant: str = "full"
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         sizes = (*self.graph_widths, *self.mlp_widths, self.lstm_hidden, self.lstm_layers)
@@ -74,10 +63,6 @@ class ModelConfig:
             raise InvalidConfigError(f"bad dims T={self.T} FT={self.FT} K={self.K}")
         if not self.graph_widths or len(self.mlp_widths) != 2 or min(sizes) < 1:
             raise InvalidConfigError(f"bad sizes in {self}: need all >= 1, a graph layer, two MLP widths")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidConfigError(
-                f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}"
-            )
         object.__setattr__(self, "variant", normalize_variant(self.variant))
 
     def views(self) -> list[tuple[str, slice]]:
@@ -98,9 +83,13 @@ class ModelConfig:
         return self.graph_widths[-1]
 
     @property
+    def view_dim(self) -> int:
+        """Width of each view's block of the classifier input."""
+        return self.lstm_hidden if self.temporal else self.T * self.pooled_dim
+
+    @property
     def classifier_in_dim(self) -> int:
-        per_view = self.lstm_hidden if self.temporal else self.T * self.pooled_dim
-        return len(self.views()) * per_view
+        return len(self.views()) * self.view_dim
 
     def to_json(self) -> str:
         return json.dumps(
@@ -114,22 +103,29 @@ class ModelConfig:
                 "lstm_layers": self.lstm_layers,
                 "mlp_widths": list(self.mlp_widths),
                 "variant": self.variant,
-                "activation": self.activation,
+                "activation": "relu",  # kept so checkpoints keep their bytes and format
             }
         )
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        """Parse `to_json` output; any other payload or an invalid config raises InvalidRecordError."""
+        """Parse `to_json` output; any other payload or an invalid config raises InvalidRecordError.
+
+        The stored `activation` must be "relu": a checkpoint of a model with
+        another nonlinearity cannot be run by this one.
+        """
         try:
             d = json.loads(payload)
         except json.JSONDecodeError as exc:
             raise InvalidRecordError(f"model config is not JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise InvalidRecordError(f"model config is not a JSON object: {payload[:80]!r}")
-        missing = [f.name for f in fields(cls) if f.name not in d]
+        names = [f.name for f in fields(cls)] + ["activation"]
+        missing = [name for name in names if name not in d]
         if missing:
             raise InvalidRecordError(f"model config lacks {missing}")
+        if d["activation"] != "relu":
+            raise InvalidRecordError(f"model config activation {d['activation']!r} is not 'relu'")
         try:
             return cls(
                 T=d["T"],
@@ -141,7 +137,6 @@ class ModelConfig:
                 lstm_layers=d["lstm_layers"],
                 mlp_widths=tuple(d["mlp_widths"]),
                 variant=d["variant"],
-                activation=d["activation"],
             )
         except (TypeError, AttributeError) as exc:
             raise InvalidRecordError(f"model config has a field of the wrong type: {exc}") from exc
@@ -446,28 +441,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mlp_forward(v: np.ndarray, p: MlpParams, activation: str) -> tuple[np.ndarray, dict]:
-    act, _ = ACTIVATIONS[activation]
-    z1 = v @ p.w1 + p.b1
-    h1 = act(z1)
-    z2 = h1 @ p.w2 + p.b2
-    h2 = act(z2)
+def _mlp_forward(v: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
+    h1 = v @ p.w1 + p.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ p.w2 + p.b2
+    np.maximum(h2, 0.0, out=h2)
     logits = h2 @ p.w_out + p.b_out
-    return logits, {"v": v, "z1": z1, "h1": h1, "z2": z2, "h2": h2, "activation": activation}
+    return logits, {"v": v, "h1": h1, "h2": h2}
 
 
 def _mlp_backward(dlogits: np.ndarray, cache: dict, p: MlpParams) -> tuple[np.ndarray, dict]:
-    _, grad = ACTIVATIONS[cache["activation"]]
+    h1, h2 = cache["h1"], cache["h2"]
     g = {
-        "w_out": cache["h2"].T @ dlogits,
+        "w_out": h2.T @ dlogits,
         "b_out": dlogits.sum(axis=0),
     }
     dh2 = dlogits @ p.w_out.T
-    dz2 = dh2 * grad(cache["z2"])
-    g["w2"] = cache["h1"].T @ dz2
+    dz2 = dh2 * (h2 > 0.0).astype(h2.dtype)
+    g["w2"] = h1.T @ dz2
     g["b2"] = dz2.sum(axis=0)
     dh1 = dz2 @ p.w2.T
-    dz1 = dh1 * grad(cache["z1"])
+    dz1 = dh1 * (h1 > 0.0).astype(h1.dtype)
     g["w1"] = cache["v"].T @ dz1
     g["b1"] = dz1.sum(axis=0)
     dv = dz1 @ p.w1.T
@@ -491,7 +485,7 @@ def model_forward(
     for view, block in cfg.views():
         x = features[:, :, block, :]
         m = mask[:, :, block]
-        pooled, sc = spatial_encode_forward(x, m, params.graph[view], cfg.activation)
+        pooled, sc = spatial_encode_forward(x, m, params.graph[view])
         vc = {"spatial": sc, "block": block}
         if cfg.temporal:
             final, lc = lstm_forward(pooled, params.lstm[view])
@@ -501,7 +495,7 @@ def model_forward(
             parts.append(pooled.reshape(b, -1))
         view_caches[view] = vc
     v = np.concatenate(parts, axis=1)
-    logits, mlp_cache = _mlp_forward(v, params.classifier, cfg.activation)
+    logits, mlp_cache = _mlp_forward(v, params.classifier)
     probs = softmax(logits)
     return probs, logits, {"views": view_caches, "mlp": mlp_cache, "batch": b}
 
@@ -521,10 +515,9 @@ def model_backward(
         np.zeros((b, cfg.T, cfg.quota.total, 4), dtype=dv.dtype) if want_input_grad else None
     )
     offset = 0
-    per_view = cfg.lstm_hidden if cfg.temporal else cfg.T * cfg.pooled_dim
     for view, block in cfg.views():
-        dpart = dv[:, offset : offset + per_view]
-        offset += per_view
+        dpart = dv[:, offset : offset + cfg.view_dim]
+        offset += cfg.view_dim
         vc = cache["views"][view]
         if cfg.temporal:
             dpooled, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])

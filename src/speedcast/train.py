@@ -61,16 +61,29 @@ def loss_and_grads(
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Training hyperparameters and Adam
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class AdamHyper:
+class TrainConfig:
+    batch_size: int = 512
     step_size: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    patience: int = 50
+    min_delta: float = 1e-6
+    max_epochs: int = 200
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.step_size <= 0:
+            raise InvalidConfigError(f"step size must be positive, got {self.step_size}")
+        if self.patience < 1:
+            raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise InvalidConfigError("batch_size and max_epochs must be >= 1")
 
 
 @dataclass
@@ -91,9 +104,9 @@ def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    hyper: AdamHyper = AdamHyper(),
+    config: TrainConfig = TrainConfig(),
 ) -> None:
-    """Bias-corrected Adam update, applied to the parameter tensors in place.
+    """Bias-corrected Adam update with `config`'s step size, betas and epsilon, in place.
 
     Gradients of a lower precision are cast up to the parameters' dtype first,
     so the moments and the update are computed at the parameters' precision.
@@ -102,11 +115,11 @@ def adam_step(
     t = state.t
     for name, arr in params.named_arrays():
         g = grads[name].astype(arr.dtype, copy=False)
-        state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
-        state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - hyper.beta1**t)
-        v_hat = state.v[name] / (1.0 - hyper.beta2**t)
-        arr -= hyper.step_size * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+        state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
+        state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
+        m_hat = state.m[name] / (1.0 - config.beta1**t)
+        v_hat = state.v[name] / (1.0 - config.beta2**t)
+        arr -= config.step_size * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +159,6 @@ class EarlyStopper:
 
 
 @dataclass
-class TrainConfig:
-    batch_size: int = 512
-    step_size: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    patience: int = 50
-    min_delta: float = 1e-6
-    max_epochs: int = 200
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise InvalidConfigError(f"step size must be positive, got {self.step_size}")
-        if self.patience < 1:
-            raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise InvalidConfigError("batch_size and max_epochs must be >= 1")
-
-
-@dataclass
 class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
@@ -200,7 +192,6 @@ def train(
     """
     if len(dataset.train_idx) == 0 or len(dataset.val_idx) == 0:
         raise InvalidConfigError("train and val splits must be non-empty")
-    hyper = AdamHyper(config.step_size, config.beta1, config.beta2, config.epsilon)
     state = AdamState.for_params(params)
     stopper = EarlyStopper(config.patience, config.min_delta)
     report = TrainReport()
@@ -219,7 +210,7 @@ def train(
                 feats, mask, labels = dataset.subset(batch)
                 compute = params.clone(COMPUTE_DTYPE)
                 loss, grads, _ = loss_and_grads(feats.astype(COMPUTE_DTYPE), mask, labels, compute)
-                adam_step(params, grads, state, hyper)
+                adam_step(params, grads, state, config)
                 epoch_loss += loss
                 n_batches += 1
             val_loss = batch_loss(val_feats, val_mask, val_labels, params)

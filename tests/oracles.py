@@ -5,14 +5,17 @@ The library runs one graph layer (the ragged closed-form Chebyshev layer in
 Here the same model is written the slow, textbook way: one dense normalized
 Laplacian and Chebyshev recurrence per graph (Defferrard et al., NeurIPS 2016),
 its eigendecomposition twin, a masked max pool, and a per-gate LSTM cell run one
-step at a time. Inputs are trusted; nothing here validates shapes.
+step at a time. Inputs are trusted; nothing here validates shapes. The model
+is rectified; the dense layer oracles can also run linear, for spectral checks.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from speedcast.graph import ACTIVATIONS, ChebLayerParams
+from speedcast.graph import ChebLayerParams
 from speedcast.model import LstmLayerParams, ModelParams
+
+ACTIVATIONS = {"relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
 
 
 def adjacency_from_mask(mask: np.ndarray) -> np.ndarray:
@@ -52,24 +55,22 @@ def cheb_conv(
     x: np.ndarray, graph: GraphOperator, params: ChebLayerParams, activation: str = "relu"
 ) -> np.ndarray:
     """Dense convolution: act( sum_k T_k(L_tilde) X W_k + b )."""
-    act, _ = ACTIVATIONS[activation]
     basis = chebyshev_basis(graph.l_tilde, params.order)
     z = sum(t_k @ x @ w_k for t_k, w_k in zip(basis, params.weights))
-    return act(z + params.bias)
+    return ACTIVATIONS[activation](z + params.bias)
 
 
 def cheb_conv_spectral(
     x: np.ndarray, graph: GraphOperator, params: ChebLayerParams, activation: str = "relu"
 ) -> np.ndarray:
     """Eigendecomposition form of cheb_conv: T_k applied to eigenvalues."""
-    act, _ = ACTIVATIONS[activation]
     lam, u = np.linalg.eigh(graph.l_tilde)
     z = np.zeros((x.shape[0], params.bias.size))
     for k in range(params.order + 1):
         tk_scalar = np.cos(k * np.arccos(np.clip(lam, -1.0, 1.0)))
         tk = (u * tk_scalar) @ u.T
         z += tk @ x @ params.weights[k]
-    return act(z + params.bias)
+    return ACTIVATIONS[activation](z + params.bias)
 
 
 def masked_max_pool(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -77,16 +78,14 @@ def masked_max_pool(y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return y[mask].max(axis=0) if mask.any() else np.zeros(y.shape[1])
 
 
-def dense_encode(
-    x: np.ndarray, mask: np.ndarray, layers: list[ChebLayerParams], activation: str
-) -> np.ndarray:
-    """Per-graph encoder: dense cheb_conv stack, then masked_max_pool, for each frame of (..., n, f)."""
+def dense_encode(x: np.ndarray, mask: np.ndarray, layers: list[ChebLayerParams]) -> np.ndarray:
+    """Per-graph encoder: rectified cheb_conv stack, then masked_max_pool, for each frame of (..., n, f)."""
     out = np.zeros(mask.shape[:-1] + (layers[-1].bias.size,))
     for idx in np.ndindex(*mask.shape[:-1]):
         g = GraphOperator.from_adjacency(adjacency_from_mask(mask[idx]))
         h = x[idx]
         for layer in layers:
-            h = cheb_conv(h, g, layer, activation)
+            h = cheb_conv(h, g, layer)
         out[idx] = masked_max_pool(h, mask[idx])
     return out
 
@@ -120,16 +119,16 @@ def cell_step_loop(seq: np.ndarray, layers: list[LstmLayerParams]) -> np.ndarray
 def reference_forward(features: np.ndarray, mask: np.ndarray, params: ModelParams) -> np.ndarray:
     """Class probabilities (B, 4) for (B, T, N, 4) clips, composed from the oracles above."""
     cfg = params.config
-    act, _ = ACTIVATIONS[cfg.activation]
+    relu = ACTIVATIONS["relu"]
     parts = []
     for view, block in cfg.views():
-        pooled = dense_encode(features[:, :, block], mask[:, :, block], params.graph[view], cfg.activation)
+        pooled = dense_encode(features[:, :, block], mask[:, :, block], params.graph[view])
         if cfg.temporal:
             parts.append(cell_step_loop(pooled, params.lstm[view]))
         else:
             parts.append(pooled.reshape(len(pooled), -1))
     mlp = params.classifier
-    hidden = act(act(np.concatenate(parts, axis=1) @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2)
+    hidden = relu(relu(np.concatenate(parts, axis=1) @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2)
     logits = hidden @ mlp.w_out + mlp.b_out
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

@@ -69,11 +69,14 @@ class TestPrepareCommand:
         hist = np.bincount(ds.labels[ds.train_idx], minlength=4)
         assert hist.min() == hist.max()
 
-    def test_bad_quota_is_config_error(self, logs_dir, tmp_path):
-        rc = main(
-            ["prepare", "--logs", str(logs_dir), "--out", str(tmp_path), "--quota", "3,2"]
-        )
-        assert rc == 1  # SpeedcastError base exit code
+    def test_bad_quota_is_config_error(self, logs_dir, tmp_path, capsys):
+        for quota in ("3,2", "a,b,c", "0,1,1"):
+            rc = main(
+                ["prepare", "--logs", str(logs_dir), "--out", str(tmp_path), "--quota", quota]
+            )
+            assert rc == 2, quota
+            err = capsys.readouterr().err
+            assert f"--quota expects three positive counts car,ped,traffic, got {quota!r}" in err
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
@@ -106,6 +109,18 @@ def trained(logs_dir, tmp_path_factory):
 
 
 class TestTrainEvalCommands:
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_non_object_train_config_is_config_error(self, tmp_path, capsys, command):
+        config = tmp_path / "train.json"
+        config.write_text("[1]")
+        args = {
+            "train": ["train", "--archive", str(tmp_path / "clips.npz"), "--config", str(config)],
+            "pipeline": ["pipeline", "--train-config", str(config)],
+        }[command]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_train_artifacts(self, trained):
         assert (trained / "model" / "checkpoint.npz").exists()
         report = json.loads((trained / "model" / "train_report.json").read_text())

@@ -34,7 +34,7 @@ def random_layer(rng, order, fin, fout):
 
 
 def pool_only(width):
-    """A layer that passes its input through exactly, so the encoder is just the pool."""
+    """A layer that passes a nonnegative input through exactly, so the encoder is just the pool."""
     return [ChebLayerParams(weights=np.eye(width)[None], bias=np.zeros(width))]
 
 
@@ -165,10 +165,10 @@ class TestMaskedPooling:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
-        y = rng.normal(size=(2, 3, 5, 4))
+        y = rng.uniform(size=(2, 3, 5, 4))
         mask = rng.uniform(size=(2, 3, 5)) < 0.6
         mask[0, 0] = False
-        pooled, _ = spatial_encode_forward(y, mask, pool_only(4), "identity")
+        pooled, _ = spatial_encode_forward(y, mask, pool_only(4))
         for i in range(2):
             for j in range(3):
                 np.testing.assert_array_equal(
@@ -179,7 +179,7 @@ class TestMaskedPooling:
         y = np.array([[[[3.0], [3.0], [1.0]]]])
         mask = np.ones((1, 1, 3), dtype=bool)
         layers = pool_only(1)
-        _, cache = spatial_encode_forward(y, mask, layers, "identity")
+        _, cache = spatial_encode_forward(y, mask, layers)
         dy, _ = spatial_encode_backward(np.array([[[2.0]]]), cache, layers)
         np.testing.assert_array_equal(dy[0, 0, :, 0], [2.0, 0.0, 0.0])
 
@@ -199,7 +199,6 @@ def encoder_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**16))
     order = draw(st.integers(min_value=0, max_value=6))
     widths = [3] + draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2))
-    activation = draw(st.sampled_from(["relu", "identity"]))
     n = draw(st.integers(min_value=1, max_value=4))
     kinds = draw(st.lists(st.sampled_from(["empty", "full", "partial"]), min_size=1, max_size=4))
     rng = np.random.default_rng(seed)
@@ -212,18 +211,18 @@ def encoder_cases(draw):
         ChebLayerParams(weights=rng.normal(scale=scale, size=(order + 1, a, b)), bias=rng.normal(size=b))
         for a, b in zip(widths[:-1], widths[1:])
     ]
-    return x, mask, layers, activation, rng.normal(size=mask.shape[:-1] + (widths[-1],))
+    return x, mask, layers, rng.normal(size=mask.shape[:-1] + (widths[-1],))
 
 
 @settings(max_examples=40, deadline=None)
 @given(encoder_cases())
 def test_ragged_encoder_matches_dense_oracle_and_finite_differences(case):
-    x, mask, layers, activation, dpooled = case
-    pooled, cache = spatial_encode_forward(x, mask, layers, activation)
-    np.testing.assert_allclose(pooled, dense_encode(x, mask, layers, activation), rtol=0, atol=1e-12)
+    x, mask, layers, dpooled = case
+    pooled, cache = spatial_encode_forward(x, mask, layers)
+    np.testing.assert_allclose(pooled, dense_encode(x, mask, layers), rtol=0, atol=1e-12)
 
     def objective():
-        return float((spatial_encode_forward(x, mask, layers, activation)[0] * dpooled).sum())
+        return float((spatial_encode_forward(x, mask, layers)[0] * dpooled).sum())
 
     dx, grads = spatial_encode_backward(dpooled, cache, layers)
     assert np.all(dx[~mask] == 0.0)

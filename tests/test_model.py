@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedcast.errors import InvalidConfigError, InvalidRecordError, ShapeError
-from speedcast.graph import ACTIVATIONS
 from speedcast.model import (
     VARIANTS,
     LstmLayerParams,
@@ -70,10 +69,7 @@ class TestConfigWiring:
     def test_json_round_trip(self):
         cfg = ModelConfig(T=7, FT=2, K=3, quota=CategoryQuota(4, 2, 2), variant="base_t")
         assert ModelConfig.from_json(cfg.to_json()) == cfg
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(InvalidConfigError, match="activation"):
-            ModelConfig(activation="tanh")
+        assert json.loads(cfg.to_json())["activation"] == "relu"  # the stored format keeps the key
 
     def test_bad_dims_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -235,7 +231,6 @@ class TestForward:
             lstm_layers=draw(st.integers(1, 2)),
             mlp_widths=(draw(st.integers(1, 5)), draw(st.integers(1, 5))),
             variant=variant,
-            activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
         )
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         params = init_params(cfg, seed=0)
@@ -374,10 +369,15 @@ class TestCheckpoint:
             (lambda d: d.update({"config": edit_config(d["config"], T=0)}), "invalid"),
             (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=0)}), "invalid"),
             (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=8.5)}), "invalid"),
+            # ReLU is the model's only nonlinearity: a config naming none or another is foreign.
+            (lambda d: d.update({"config": drop_config_field(d["config"], "activation")}), r"lacks \['activation'\]"),
+            (lambda d: d.update({"config": edit_config(d["config"], activation="identity")}), "'identity' is not 'relu'"),
+            (lambda d: d.update({"config": edit_config(d["config"], activation=None)}), "None is not 'relu'"),
         ],
         ids=[
             "missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
+            "config-activation-missing", "config-activation-identity", "config-activation-null",
         ],
     )
     def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):

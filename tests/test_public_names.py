@@ -1,4 +1,4 @@
-"""Static check: every public module-level function and class of the library has a user."""
+"""Static check: every public module-level function, class and constant of the library has a user."""
 import ast
 from pathlib import Path
 
@@ -6,12 +6,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def names_used(path: Path) -> set[str]:
-    """Identifiers `path` names, each counted only outside the top-level definition of that name."""
+    """Identifiers `path` reads, each counted only outside the top-level definition of that name.
+
+    Assignment targets are not uses, so a constant is not used by its own assignment.
+    """
     used = set()
     for stmt in ast.parse(path.read_text()).body:
         named = set()
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
@@ -22,14 +25,26 @@ def names_used(path: Path) -> set[str]:
     return used
 
 
+def public_names(path: Path) -> list[str]:
+    """Public module-level functions, classes and assigned constants of `path`."""
+    names = []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names += [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.append(stmt.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_library_name_is_used_in_src_or_perfbench():
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     used = set().union(*map(names_used, files))
     unused = [
-        f"{path.name}:{stmt.name}"
+        f"{path.name}:{name}"
         for path in sorted((ROOT / "src" / "speedcast").glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-        and stmt.name not in used
+        for name in public_names(path)
+        if name not in used
     ]
     assert unused == [], unused

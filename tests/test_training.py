@@ -6,7 +6,6 @@ from speedcast import train as train_module
 from speedcast.errors import InvalidConfigError, NumericFaultError
 from speedcast.model import ModelConfig, init_params, model_forward, save_checkpoint
 from speedcast.train import (
-    AdamHyper,
     AdamState,
     EarlyStopper,
     TrainConfig,
@@ -121,7 +120,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         grads = {name: np.full_like(a, 0.5) for name, a in params.named_arrays()}
         before = params.classifier.b_out.copy()
-        adam_step(params, grads, state, AdamHyper(step_size=0.01))
+        adam_step(params, grads, state, TrainConfig(step_size=0.01))
         # first step: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
         expected = before - 0.01 * 0.5 / (0.5 + 1e-8)
         np.testing.assert_allclose(params.classifier.b_out, expected, atol=1e-12)
