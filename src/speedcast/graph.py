@@ -11,12 +11,16 @@ pre-activation: relu'(z) is 1 exactly where y > 0.
 
 `spatial_encode_forward` / `spatial_encode_backward` gather the real rows of a
 (B, T, n, f) batch into one flat ragged array, one segment per non-empty graph,
-run the closed-form layers on it and max-pool each segment. Padded slots cost
-nothing. The dense per-graph Laplacian and Chebyshev recurrence this is checked
-against lives in the test suite (`tests/oracles.py`).
+run the closed-form layers on it and max-pool each segment. The rows are stored
+rank-major (`Segments`): block r holds the r-th real node of every graph that
+has one, so each per-graph sum, mean, max and broadcast is a few contiguous
+slice operations, one per rank, and padded slots cost nothing. The dense
+per-graph Laplacian and Chebyshev recurrence this is checked against lives in
+the test suite (`tests/oracles.py`).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,35 +47,77 @@ class ChebLayerParams:
 
 @dataclass(frozen=True)
 class Segments:
-    """The real rows of a (..., n) mask as one flat ragged batch.
+    """The real rows of a (..., n) mask as one flat ragged batch in rank-major order.
 
-    Rows are taken in C order (`x[mask]`), so each graph's real rows are
-    contiguous and in node order. Only graphs with at least one real row get a
-    segment, because `ufunc.reduceat` is not an identity on empty ranges.
+    Each graph with at least one real row is a segment; segments are ordered
+    by size, largest first (stable, so equal sizes keep graph order). Row
+    block r holds the r-th real node, in node order, of each segment with
+    more than r real rows, in segment order, so it covers a prefix of the
+    segments. A per-segment reduction is then one vectorised operation per
+    block, at most the largest graph's size of them, on contiguous rows: the
+    jagged-diagonal layout of sparse matrix-vector products (Saad, SIAM J.
+    Sci. Stat. Comput. 10(6), 1989).
     """
 
-    starts: np.ndarray  # (S,) first row of each segment
-    sizes: np.ndarray  # (S,) real rows per segment, all >= 1
-    ids: np.ndarray  # (R,) segment of each row
-    nonempty: np.ndarray  # (G,) bool over the flattened graphs: has a segment
+    rows: np.ndarray  # (R,) each row's index in mask.reshape(-1)
+    graphs: np.ndarray  # (S,) flat graph index of each segment
+    sizes: np.ndarray  # (S,) real rows per segment, non-increasing, all >= 1
+    blocks: tuple[tuple[int, int], ...]  # (start, stop) rows of rank 0, 1, ...; at least one
+    n_graphs: int  # graphs in the mask, empty ones included
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Segments":
-        counts = mask.reshape(-1, mask.shape[-1]).sum(axis=1)
-        nonempty = counts > 0
-        sizes = counts[nonempty]
-        starts = np.cumsum(sizes) - sizes
-        return cls(starts, sizes, np.repeat(np.arange(sizes.size), sizes), nonempty)
+        n = mask.shape[-1]
+        counts = mask.reshape(-1, n).sum(axis=1)
+        graphs = np.argsort(-counts, kind="stable")
+        sizes = counts[graphs]
+        n_segments = np.count_nonzero(sizes)
+        graphs, sizes = graphs[:n_segments], sizes[:n_segments]
+        # per_rank[r]: segments with more than r rows (sizes are >= 1)
+        per_rank = np.cumsum(np.bincount(sizes, minlength=2)[:0:-1])[::-1]
+        bounds = np.zeros(per_rank.size + 1, dtype=np.intp)
+        np.cumsum(per_rank, out=bounds[1:])
+        real = np.flatnonzero(mask.reshape(-1))  # C order: by graph, then node
+        graph = real // n
+        rank = np.arange(real.size) - (np.cumsum(counts) - counts)[graph]  # within its graph
+        segment = np.empty(counts.size, dtype=np.intp)
+        segment[graphs] = np.arange(n_segments)
+        rows = np.empty_like(real)
+        rows[bounds[rank] + segment[graph]] = real
+        blocks = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        return cls(rows, graphs, sizes, blocks, counts.size)
 
     def sum(self, h: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(h, self.starts, axis=0)
+        """Per-segment sums, (S, f), added as block 0 + (block 1 + block 2 + ...)."""
+        total = h[slice(*self.blocks[0])].copy()
+        if len(self.blocks) > 1:
+            tail = h[slice(*self.blocks[1])].copy()
+            for lo, hi in self.blocks[2:]:
+                tail[: hi - lo] += h[lo:hi]
+            total[: len(tail)] += tail
+        return total
+
+    def max(self, h: np.ndarray) -> np.ndarray:
+        """Per-segment maxima, (S, f); NaN propagates as in `np.maximum`."""
+        top = h[slice(*self.blocks[0])].copy()
+        for lo, hi in self.blocks[1:]:
+            np.maximum(top[: hi - lo], h[lo:hi], out=top[: hi - lo])
+        return top
+
+    def broadcast_add(self, h: np.ndarray, per_segment: np.ndarray) -> np.ndarray:
+        """Add each segment's row of `per_segment` to every row of that segment in `h`, in place."""
+        for lo, hi in self.blocks:
+            h[lo:hi] += per_segment[: hi - lo]
+        return h
 
     def mean(self, h: np.ndarray) -> np.ndarray:
         return self.divide_by_sizes(self.sum(h))
 
     def divide_by_sizes(self, totals: np.ndarray) -> np.ndarray:
         """Divide each segment's row of `totals` by its size, in place, keeping the dtype."""
-        totals /= self.sizes[:, None]
+        # The same bits as dividing by the int64 sizes, whose float64 quotient
+        # rounds once more for float32, without the mixed-type loop.
+        totals /= self.sizes[:, None].astype(totals.dtype)
         return totals
 
 
@@ -86,6 +132,14 @@ def hop_coefficients(order: int, dtype: np.dtype = np.float64) -> tuple[np.ndarr
     return c, np.where(k % 2 == 0, 1.0, -1.0).astype(dtype) - c
 
 
+@functools.lru_cache(maxsize=32)
+def _hop_table(order: int, dtype: np.dtype) -> np.ndarray:
+    """`hop_coefficients` stacked as a read-only (2, order + 1) array, built once per key."""
+    table = np.stack(hop_coefficients(order, dtype))
+    table.setflags(write=False)
+    return table
+
+
 def cheb_layer_forward(
     h: np.ndarray, segments: Segments, params: ChebLayerParams
 ) -> tuple[np.ndarray, dict]:
@@ -96,11 +150,11 @@ def cheb_layer_forward(
     """
     if h.shape[-1] != params.in_dim:
         raise ShapeError(f"features width {h.shape[-1]} != layer in_dim {params.in_dim}")
-    c, e = hop_coefficients(params.order, params.weights.dtype)
-    a = np.tensordot(c, params.weights, axes=1)
-    b = np.tensordot(e, params.weights, axes=1)
+    w = params.weights
+    a, b = (_hop_table(params.order, w.dtype) @ w.reshape(w.shape[0], -1)).reshape((2,) + w.shape[1:])
     mean = segments.mean(h)
-    y = h @ a + (mean @ b)[segments.ids] + params.bias
+    y = segments.broadcast_add(h @ a, mean @ b)
+    y += params.bias
     np.maximum(y, 0.0, out=y)
     return y, {"h": h, "mean": mean, "y": y, "a": a, "b": b, "segments": segments}
 
@@ -118,14 +172,24 @@ def cheb_layer_backward(
     y = cache["y"]
     dz = dy * (y > 0.0).astype(y.dtype)
     dz_sum = segments.sum(dz)
-    c, e = hop_coefficients(params.order, params.weights.dtype)
-    da = cache["h"].T @ dz
-    db = cache["mean"].T @ dz_sum
-    dweights = c[:, None, None] * da + e[:, None, None] * db
+    dab = np.stack([cache["h"].T @ dz, cache["mean"].T @ dz_sum])
+    w = params.weights
+    dweights = (_hop_table(params.order, w.dtype).T @ dab.reshape(2, -1)).reshape(w.shape)
     if not want_dh:
         return None, dweights, dz.sum(axis=0)
-    dh = dz @ cache["a"].T + (segments.divide_by_sizes(dz_sum) @ cache["b"].T)[segments.ids]
+    dh = segments.broadcast_add(dz @ cache["a"].T, segments.divide_by_sizes(dz_sum) @ cache["b"].T)
     return dh, dweights, dz.sum(axis=0)
+
+
+def _select(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> None:
+    """out = values where `keep`, else +0.0, bit for bit (inf and NaN included).
+
+    `values` and `out` share a dtype. An AND with an all-ones or all-zeros
+    word per element: `np.where` and `np.copyto(where=)` run several times
+    slower on the scattered masks of max-pool routing.
+    """
+    word = np.dtype(f"i{out.dtype.itemsize}")
+    np.bitwise_and(values.view(word), -keep.astype(word), out=out.view(word))
 
 
 def spatial_encode_forward(
@@ -139,15 +203,15 @@ def spatial_encode_forward(
     rows are computed; a frame with no real node pools to the zero vector.
     """
     segments = Segments.from_mask(mask)
-    h = x[mask]
+    h = x.reshape(-1, x.shape[-1])[segments.rows]
     caches = []
     for layer in layers:
         h, cache = cheb_layer_forward(h, segments, layer)
         caches.append(cache)
-    maxima = np.maximum.reduceat(h, segments.starts, axis=0)
-    pooled = np.zeros((segments.nonempty.size, h.shape[-1]), dtype=h.dtype)
-    pooled[segments.nonempty] = maxima
-    cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "mask": mask}
+    maxima = segments.max(h)
+    pooled = np.zeros((segments.n_graphs, h.shape[-1]), dtype=h.dtype)
+    pooled[segments.graphs] = maxima
+    cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "shape": x.shape}
     return pooled.reshape(mask.shape[:-1] + (h.shape[-1],)), cache
 
 
@@ -165,14 +229,19 @@ def spatial_encode_backward(
     and None when `want_input_grad` is False.
     """
     segments = cache["segments"]
-    out = cache["out"]
-    n_rows, width = out.shape
-    # `~(out < max)` is `out == max` for finite values and also marks NaN, so a
-    # non-finite column still routes to a row and the caller sees the fault.
-    rows = np.where(~(out < cache["maxima"][segments.ids]), np.arange(n_rows)[:, None], n_rows)
-    first = np.minimum.reduceat(rows, segments.starts, axis=0)
-    dy = np.zeros_like(out)
-    dy[first, np.arange(width)] = dpooled.reshape(-1, width)[segments.nonempty]
+    out, maxima = cache["out"], cache["maxima"]
+    dmax = dpooled.reshape(-1, out.shape[-1])[segments.graphs].astype(out.dtype, copy=False)
+    dy = np.empty_like(out)
+    # A row takes a column's gradient where it is not below the max and no
+    # lower rank took it first; ranks run in node order, so that is the lowest
+    # such node. "Not below" is `out == max` for finite values and also marks
+    # NaN, so a non-finite column still routes to a row and the caller sees
+    # the fault.
+    free = np.ones(maxima.shape, dtype=bool)
+    for lo, hi in segments.blocks:
+        below = out[lo:hi] < maxima[: hi - lo]
+        _select(dmax[: hi - lo], free[: hi - lo] & ~below, out=dy[lo:hi])
+        free[: hi - lo] &= below
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
         dy, dw, db = cheb_layer_backward(
@@ -181,7 +250,6 @@ def spatial_encode_backward(
         grads[i] = (dw, db)
     if not want_input_grad:
         return None, grads
-    mask = cache["mask"]
-    dx = np.zeros(mask.shape + (dy.shape[-1],), dtype=dy.dtype)
-    dx[mask] = dy
+    dx = np.zeros(cache["shape"][:-1] + (dy.shape[-1],), dtype=dy.dtype)
+    dx.reshape(-1, dy.shape[-1])[segments.rows] = dy
     return dx, grads

@@ -99,6 +99,8 @@ class SynthConfig:
     @classmethod
     def from_json(cls, payload: str) -> "SynthConfig":
         d = json.loads(payload)
+        if not isinstance(d, dict):
+            raise InvalidConfigError(f"synth config is not a JSON object: {payload.strip()[:80]!r}")
         for k in ("segment_frames", "background_cars"):
             if k in d:
                 d[k] = tuple(d[k])

@@ -53,6 +53,14 @@ class TestSynthCommand:
         assert sha256(tmp_path / "detections.jsonl") == sha256(logs_dir / "detections.jsonl")
         assert sha256(tmp_path / "sensors.jsonl") == sha256(logs_dir / "sensors.jsonl")
 
+    @pytest.mark.parametrize("payload", ['"ab"', "null"])
+    def test_non_object_config_is_config_error(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(payload)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: synth config is not a JSON object: {payload!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPrepareCommand:
     def test_builds_archive(self, logs_dir, tmp_path):

@@ -111,12 +111,15 @@ class TestFastPath:
                 )
 
     def test_segments_skip_empty_graphs(self):
-        mask = np.array([[True, False, True], [False, False, False], [False, True, False]])
+        mask = np.array(
+            [[True, False, True], [False, False, False], [False, True, False], [True, True, True]]
+        )
         seg = Segments.from_mask(mask)
-        np.testing.assert_array_equal(seg.starts, [0, 2])
-        np.testing.assert_array_equal(seg.sizes, [2, 1])
-        np.testing.assert_array_equal(seg.ids, [0, 0, 1])
-        np.testing.assert_array_equal(seg.nonempty, [True, False, True])
+        np.testing.assert_array_equal(seg.graphs, [3, 0, 2])  # largest first, empty graph 1 left out
+        np.testing.assert_array_equal(seg.sizes, [3, 2, 1])
+        assert seg.blocks == ((0, 3), (3, 5), (5, 6))
+        np.testing.assert_array_equal(seg.rows, [9, 0, 7, 10, 2, 11])  # rank 0, then 1, then 2
+        assert seg.n_graphs == 4
 
     def test_layer_matches_dense_reference(self):
         rng = np.random.default_rng(2)
@@ -125,13 +128,14 @@ class TestFastPath:
         mask = rng.uniform(size=(b, t, n)) < 0.7
         x = rng.normal(size=(b, t, n, 4))
         x[~mask] = 0.0
-        y, _ = cheb_layer_forward(x[mask], Segments.from_mask(mask), layer)
+        seg = Segments.from_mask(mask)
+        y, _ = cheb_layer_forward(x.reshape(-1, 4)[seg.rows], seg, layer)
         ref = np.zeros((b, t, n, 5))
         for i in range(b):
             for j in range(t):
                 g = GraphOperator.from_adjacency(adjacency_from_mask(mask[i, j]))
                 ref[i, j] = cheb_conv(x[i, j], g, layer)
-        np.testing.assert_allclose(y, ref[mask], atol=1e-12)
+        np.testing.assert_allclose(y, ref.reshape(-1, 5)[seg.rows], atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -268,3 +272,57 @@ def test_pooled_padding_invariance(extra, seed):
     mp = np.concatenate([mask, np.zeros((1, 2, extra), dtype=bool)], axis=2)
     large, _ = spatial_encode_forward(xp, mp, layers)
     np.testing.assert_allclose(small, large, atol=1e-12)
+
+
+@st.composite
+def rank_major_masks(draw):
+    """(1, F, n) masks, n <= 24: frames of unequal size, some empty, real nodes scattered over the row."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=n), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    mask = np.zeros((1, len(sizes), n), dtype=bool)
+    for frame, size in enumerate(sizes):
+        mask[0, frame, rng.choice(n, size=size, replace=False)] = True
+    return mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_major_masks(), st.integers(min_value=0, max_value=2**16))
+def test_rank_major_encoder_matches_dense_oracle(mask, seed):
+    """Graphs of up to 24 real nodes, so up to 24 rank blocks, each covering a prefix of the segments."""
+    rng = np.random.default_rng(seed)
+    order = int(rng.integers(0, 7))
+    scale = 1.0 / np.sqrt(order + 1)
+    layers = [
+        ChebLayerParams(weights=rng.normal(scale=scale, size=(order + 1, a, b)), bias=rng.normal(size=b))
+        for a, b in ((3, 4), (4, 2))
+    ]
+    x = rng.normal(size=mask.shape + (3,))
+    x[~mask] = 0.0
+    pooled, _ = spatial_encode_forward(x, mask, layers)
+    np.testing.assert_allclose(pooled, dense_encode(x, mask, layers), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_major_masks(), st.integers(min_value=0, max_value=2**16))
+def test_rank_major_pool_routes_to_lowest_tied_node(mask, seed):
+    """Each pooled gradient reaches the lowest real node holding the max, ties at any rank included."""
+    rng = np.random.default_rng(seed)
+    width = 3
+    x = rng.integers(1, 4, size=mask.shape + (width,)) / 2.0  # three positive levels: ties everywhere
+    for idx in np.ndindex(*mask.shape[:-1]):
+        nodes = np.flatnonzero(mask[idx])
+        x[idx][nodes[1:3], 0] = 2.0  # the max of column 0 tied at ranks 1 and 2
+    x[~mask] = 0.0
+    layers = pool_only(width)
+    pooled, cache = spatial_encode_forward(x, mask, layers)
+    np.testing.assert_array_equal(pooled, dense_encode(x, mask, layers))
+    dpooled = rng.normal(size=mask.shape[:-1] + (width,))
+    dx, _ = spatial_encode_backward(dpooled, cache, layers)
+    expected = np.zeros_like(x)
+    for idx in np.ndindex(*mask.shape[:-1]):
+        nodes = np.flatnonzero(mask[idx])
+        if nodes.size:
+            first = nodes[np.argmax(x[idx][nodes], axis=0)]  # argmax takes the first of equal values
+            expected[idx][first, np.arange(width)] = dpooled[idx]
+    np.testing.assert_array_equal(dx, expected)
