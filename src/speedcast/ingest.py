@@ -36,11 +36,17 @@ MAX_STEERING_DEG = 30.0
 BRAKE_THRESHOLD_KPA = {"highway": 958.0, "urban": 1461.0}
 ACCEL_THRESHOLD_PCT = {"highway": 22.0, "urban": 19.0}
 
-CLIPSET_SCHEMA = "speedcast-clipset/1"
-_CLIPSET_KEYS = (
-    "schema", "features", "mask", "labels", "sessions", "anchors", "scenarios", "dims",
+CLIPSET_SCHEMA = "speedcast-clipset/2"
+# Schema /1 stored every clip's T frames in its own rows of `features` and `mask`.
+_CLIPSET_SCHEMA_V1 = "speedcast-clipset/1"
+_CLIPSET_SHARED_KEYS = (
+    "schema", "labels", "sessions", "anchors", "scenarios", "dims",
     "quota", "train_idx", "val_idx", "test_idx", "norm_mean", "norm_std",
 )
+_CLIPSET_KEYS = {
+    CLIPSET_SCHEMA: ("frames", "frame_mask", "windows", *_CLIPSET_SHARED_KEYS),
+    _CLIPSET_SCHEMA_V1: ("features", "mask", *_CLIPSET_SHARED_KEYS),
+}
 
 
 @contextmanager
@@ -156,9 +162,11 @@ def assemble_clips(
 
     An anchor at position i needs T history frames, an eligible (turn-free,
     moving) history window, and a non-coast label at position i + FT.
-    Returns the per-clip arrays `features` (m, T, N, 4), `mask` (m, T, N),
-    `labels`, `anchors` (frame index of position i) and `scenarios`, named
-    like the ClipDataset fields they fill.
+    Returns the frame table `frames` (f, N, 4) and `frame_mask` (f, N), which
+    holds each frame some clip uses once, in session order, and the per-clip
+    arrays `windows` (m, T) (the row of the frame table for each history step),
+    `labels`, `anchors` (frame index of position i) and `scenarios`, named like
+    the ClipDataset fields they fill.
     """
     if T < 1:
         raise InvalidConfigError(f"history length T must be >= 1, got {T}")
@@ -188,10 +196,12 @@ def assemble_clips(
         positions.append(i)
         labels.append(int(label))
         scenarios.append(target_sensor.scenario)
+    row_of = np.cumsum(filled, dtype=np.int64) - 1  # frame table row of each filled position
     windows = np.asarray(positions, dtype=np.int64)[:, None] + np.arange(1 - T, 1)
     return {
-        "features": frame_feats[windows],
-        "mask": frame_mask[windows],
+        "frames": frame_feats[filled],
+        "frame_mask": frame_mask[filled],
+        "windows": row_of[windows],
         "labels": np.asarray(labels, dtype=np.int64),
         "anchors": np.asarray([frames[i].frame_index for i in positions], dtype=np.int64),
         "scenarios": np.asarray(scenarios, dtype="U16"),
@@ -256,10 +266,16 @@ def oversample(labels: np.ndarray, seed: int = 0) -> np.ndarray:
 
 @dataclass
 class ClipDataset:
-    """Stacked clip tensors plus split indices; the unit of archive IO."""
+    """Clips as windows over a table of prepared frames, plus split indices; the unit of archive IO.
 
-    features: np.ndarray  # (M, T, N, 4)
-    mask: np.ndarray  # (M, T, N) bool
+    Consecutive clips of a session share T-1 frames, so each frame is stored
+    once: history step t of clip i is row `windows[i, t]` of `frames` and
+    `frame_mask`.
+    """
+
+    frames: np.ndarray  # (F, N, 4)
+    frame_mask: np.ndarray  # (F, N) bool
+    windows: np.ndarray  # (M, T) int64 rows of `frames`
     labels: np.ndarray  # (M,) int64
     sessions: np.ndarray  # (M,) unicode
     anchors: np.ndarray  # (M,) int64
@@ -274,42 +290,30 @@ class ClipDataset:
     norm_std: np.ndarray = field(default_factory=lambda: np.ones(4))
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.windows.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """(M, T, N, 4) features of every clip, copied out of the frame table."""
+        return self.frames[self.windows]
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(M, T, N) validity mask of every clip, copied out of the frame table."""
+        return self.frame_mask[self.windows]
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(features, mask, labels) views for the given indices."""
-        return self.features[idx], self.mask[idx], self.labels[idx]
-
-    def standardize_from_train(self) -> None:
-        """Shift and scale all features to zero mean, unit variance per channel.
-
-        Statistics come from the valid (mask True) entries of the training
-        split only, so val and test stay untouched by their own distributions.
-        Raw box coordinates cluster tightly; without this step the optimizer
-        has to resolve class differences that are a small ripple on a large
-        shared offset. Padded slots stay exactly zero.
-        """
-        if len(self.train_idx) == 0:
-            raise InvalidConfigError("cannot standardize without a training split")
-        rows = np.unique(self.train_idx)
-        valid = self.features[rows][self.mask[rows]]
-        if valid.size == 0:
-            raise InvalidConfigError("training split has no valid detections")
-        mean = valid.mean(axis=0)
-        std = valid.std(axis=0)
-        std = np.where(std < 1e-8, 1.0, std)
-        self.norm_mean = mean
-        self.norm_std = std
-        self.features = np.where(
-            self.mask[..., None], (self.features - mean) / std, 0.0
-        )
+        """(features, mask, labels) of the clips at the given indices."""
+        steps = self.windows[idx]
+        return self.frames[steps], self.frame_mask[steps], self.labels[idx]
 
     def save(self, path: str | Path) -> None:
         np.savez_compressed(
             path,
             schema=np.array(CLIPSET_SCHEMA),
-            features=self.features,
-            mask=self.mask,
+            frames=self.frames,
+            frame_mask=self.frame_mask,
+            windows=self.windows,
             labels=self.labels,
             sessions=self.sessions,
             anchors=self.anchors,
@@ -329,18 +333,21 @@ class ClipDataset:
     @classmethod
     def load(cls, path: str | Path) -> "ClipDataset":
         """Read an archive `save` wrote, validated: the keys, the shapes against
-        `dims` and `quota`, the label and split-index ranges, and finite features
-        and norm statistics. A violation raises InvalidRecordError naming it.
+        `dims` and `quota`, the window, label and split-index ranges, and finite
+        frames and norm statistics. A violation raises InvalidRecordError naming it.
+        A schema /1 archive loads as a frame table that holds each clip's frames
+        in their own rows.
         """
         with open_archive(path, "clipset") as data:
-            missing = sorted(set(_CLIPSET_KEYS) - set(data.files))
-            extra = sorted(set(data.files) - set(_CLIPSET_KEYS))
+            schema = str(data["schema"]) if "schema" in data.files else None
+            keys = _CLIPSET_KEYS.get(schema)
+            if keys is None:
+                raise InvalidRecordError(f"unexpected clipset schema {schema!r}")
+            missing = sorted(set(keys) - set(data.files))
+            extra = sorted(set(data.files) - set(keys))
             if missing or extra:
                 raise InvalidRecordError(f"clipset arrays: missing {missing}, unexpected {extra}")
-            schema = str(data["schema"])
-            if schema != CLIPSET_SCHEMA:
-                raise InvalidRecordError(f"unexpected clipset schema {schema!r}")
-            arrays = {key: data[key] for key in _CLIPSET_KEYS if key != "schema"}
+            arrays = {key: data[key] for key in keys if key != "schema"}
         dims, quota = arrays.pop("dims"), arrays.pop("quota")
         kinds = {dims.dtype.kind, quota.dtype.kind}
         if dims.shape != (2,) or quota.shape != (3,) or not kinds <= {"i", "u"}:
@@ -351,16 +358,21 @@ class ClipDataset:
         T, FT = (int(x) for x in dims)
         if T < 1 or FT < 1:
             raise InvalidRecordError(f"clipset dims T={T} FT={FT} must be positive")
-        ds = cls(T=T, FT=FT, quota=CategoryQuota(*(int(x) for x in quota)), **arrays)
+        quota = CategoryQuota(*(int(x) for x in quota))
+        if schema == _CLIPSET_SCHEMA_V1:
+            arrays.update(_frame_table_v1(arrays.pop("features"), arrays.pop("mask"), T, quota.total))
+        ds = cls(T=T, FT=FT, quota=quota, **arrays)
         ds._validate()
         return ds
 
     def _validate(self) -> None:
-        m = self.features.shape[0] if self.features.ndim == 4 else -1
+        m = self.windows.shape[0] if self.windows.ndim == 2 else -1
+        f = self.frames.shape[0] if self.frames.ndim == 3 else -1
         n = self.quota.total
         expected = {  # name: (shape, dtype kinds)
-            "features": ((m, self.T, n, 4), "f"),
-            "mask": ((m, self.T, n), "b"),
+            "frames": ((f, n, 4), "f"),
+            "frame_mask": ((f, n), "b"),
+            "windows": ((m, self.T), "iu"),
             "labels": ((m,), "iu"),
             "sessions": ((m,), "U"),
             "anchors": ((m,), "iu"),
@@ -374,6 +386,8 @@ class ClipDataset:
                 raise InvalidRecordError(
                     f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {shape}"
                 )
+        if self.windows.size and not 0 <= self.windows.min() <= self.windows.max() < f:
+            raise InvalidRecordError(f"clipset windows hold frame indices outside [0, {f})")
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < NUM_ACTIONS:
             raise InvalidRecordError(f"clipset labels outside [0, {NUM_ACTIONS})")
         for key in ("train_idx", "val_idx", "test_idx"):
@@ -385,12 +399,25 @@ class ClipDataset:
             if idx.size and not 0 <= idx.min() <= idx.max() < m:
                 raise InvalidRecordError(f"clipset {key} holds indices outside [0, {m})")
         # min and max propagate NaN and reach any infinity, with no temporary
-        # the size of the features.
-        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
-            raise InvalidRecordError("clipset features hold a non-finite value")
+        # the size of the frames.
+        if self.frames.size and not np.isfinite([self.frames.min(), self.frames.max()]).all():
+            raise InvalidRecordError("clipset frames hold a non-finite value")
         stats = np.concatenate([self.norm_mean, self.norm_std])
         if not (np.isfinite(stats).all() and (self.norm_std > 0).all()):
             raise InvalidRecordError("clipset norm statistics must be finite, with positive std")
+
+
+def _frame_table_v1(features: np.ndarray, mask: np.ndarray, T: int, n: int) -> dict[str, np.ndarray]:
+    """`frames`, `frame_mask` and `windows` for the per-clip arrays of a schema /1 archive."""
+    m = features.shape[0] if features.ndim == 4 else -1
+    for key, arr, shape in (("features", features, (m, T, n, 4)), ("mask", mask, (m, T, n))):
+        if arr.shape != shape:
+            raise InvalidRecordError(f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {shape}")
+    return {
+        "frames": features.reshape(m * T, n, 4),
+        "frame_mask": mask.reshape(m * T, n),
+        "windows": np.arange(m * T, dtype=np.int64).reshape(m, T),
+    }
 
 
 def build_dataset(
@@ -403,21 +430,28 @@ def build_dataset(
     """Assemble, split, oversample and standardize clips from per-session streams.
 
     Oversampling duplicates training indices only; val/test stay untouched.
-    Standardization uses training-split statistics across the whole dataset.
+    Every frame is shifted and scaled to zero mean, unit variance per channel,
+    with statistics from the valid (mask True) entries of the training split's
+    clips only, so val and test stay untouched by their own distributions. Raw
+    box coordinates cluster tightly; without this step the optimizer has to
+    resolve class differences that are a small ripple on a large shared offset.
+    Padded slots stay exactly zero.
     """
     names = sorted(sessions)
     parts = [assemble_clips(*sessions[name], T, FT, quota) for name in names]
     shaped = parts or [assemble_clips([], [], T, FT, quota)]  # column shapes when no session exists
     columns = {
         key: np.concatenate([part[key] for part in shaped])
-        for key in ("features", "mask", "labels", "anchors", "scenarios")
+        for key in ("frames", "frame_mask", "labels", "anchors", "scenarios")
     }
+    offsets = np.cumsum([0] + [len(part["frames"]) for part in shaped[:-1]])
+    windows = np.concatenate([part["windows"] + offset for part, offset in zip(shaped, offsets)])
     # Wide enough for every name, never narrower than the historical U64.
     width = max([64, *map(len, names)])
     session_col = np.array(
         [name for name, part in zip(names, parts) for _ in part["labels"]], dtype=f"U{width}"
     )
-    ds = ClipDataset(sessions=session_col, T=T, FT=FT, quota=quota, **columns)
+    ds = ClipDataset(windows=windows, sessions=session_col, T=T, FT=FT, quota=quota, **columns)
     train, val, test = (
         np.asarray(part, dtype=np.int64)
         for part in split_dataset(list(range(len(ds))), seed=seed)
@@ -426,7 +460,21 @@ def build_dataset(
     ds.val_idx = val
     ds.test_idx = test
     if len(ds.train_idx):
-        ds.standardize_from_train()
+        # The training clips' valid slots in the order of `features[rows][mask[rows]]`,
+        # so the statistics keep their bits. Gathering only the valid slots would
+        # skip the (rows, T, N, 4) temporary `frames[steps]`, but freeing it raises
+        # glibc's dynamic mmap threshold; without that, each `base` K=5 training
+        # batch in the same process maps its 8-16 MB temporaries afresh and
+        # page-faults on them (epochs 35% slower).
+        steps = windows[np.unique(ds.train_idx)]
+        valid = ds.frames[steps][ds.frame_mask[steps]]
+        if valid.size == 0:
+            raise InvalidConfigError("training split has no valid detections")
+        mean = valid.mean(axis=0)
+        std = valid.std(axis=0)
+        ds.norm_mean = mean
+        ds.norm_std = np.where(std < 1e-8, 1.0, std)
+        ds.frames = np.where(ds.frame_mask[..., None], (ds.frames - mean) / ds.norm_std, 0.0)
     return ds
 
 
@@ -467,10 +515,12 @@ def _read_jsonl(
 ) -> dict[str, list[_Record]]:
     """Parse every non-blank line with `parse` into per-session lists ordered by frame index.
 
-    A line that is not a JSON object with a string `session`, or a record that
-    `parse` rejects, raises InvalidRecordError naming `path:line`.
+    A line that is not a JSON object with a string `session`, a record that
+    `parse` rejects, or a second record for the same session and frame index
+    raises InvalidRecordError naming `path:line`.
     """
     sessions: dict[str, list[_Record]] = {}
+    first_line: dict[tuple[str, int], int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -480,9 +530,17 @@ def _read_jsonl(
                 rec = json.loads(line)
                 if not isinstance(rec, dict) or not isinstance(rec.get("session"), str):
                     raise InvalidRecordError("not a JSON object with a string session")
-                sessions.setdefault(rec["session"], []).append(parse(rec))
+                record = parse(rec)
             except (InvalidRecordError, KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise InvalidRecordError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
+            session = rec["session"]
+            first = first_line.setdefault((session, record.frame_index), lineno)
+            if first != lineno:
+                raise InvalidRecordError(
+                    f"{path}:{lineno}: repeated {kind} record: session {session!r} frame "
+                    f"{record.frame_index} is already at line {first}"
+                )
+            sessions.setdefault(session, []).append(record)
     for records in sessions.values():
         records.sort(key=lambda r: r.frame_index)
     return sessions

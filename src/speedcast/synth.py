@@ -164,16 +164,25 @@ def _project_car(distance: float, lateral_px: float) -> tuple[float, float, floa
     return x1, y1, x2, y2
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """`float(np.clip(x, lo, hi))` for Python floats, without a numpy call per value.
+
+    Bit for bit the same. Where x is a zero that ties a zero bound of the other
+    sign it returns x, as numpy 2.4 does; older numpy may return the bound.
+    """
+    return float(min(max(x, lo), hi))
+
+
 def _jitter_box(
     box: tuple[float, float, float, float], jitter: float, rng: np.random.Generator
 ) -> tuple[float, float, float, float]:
     if jitter <= 0:
         return box
     x1, y1, x2, y2 = (v + rng.uniform(-jitter, jitter) for v in box)
-    x1 = float(np.clip(x1, 0.0, IMAGE_W - 2.0))
-    y1 = float(np.clip(y1, 0.0, IMAGE_H - 2.0))
-    x2 = float(np.clip(x2, x1 + 1.0, IMAGE_W))
-    y2 = float(np.clip(y2, y1 + 1.0, IMAGE_H))
+    x1 = _clamp(x1, 0.0, IMAGE_W - 2.0)
+    y1 = _clamp(y1, 0.0, IMAGE_H - 2.0)
+    x2 = _clamp(x2, x1 + 1.0, IMAGE_W)
+    y2 = _clamp(y2, y1 + 1.0, IMAGE_H)
     return x1, y1, x2, y2
 
 
@@ -265,7 +274,7 @@ def _generate_session(
                     config.bbox_jitter_px,
                     rng,
                 ),
-                confidence=float(np.clip(0.97 + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 1.0)),
+                confidence=_clamp(0.97 + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 1.0),
             )
         ]
         for b in range(n_bg):
@@ -277,13 +286,13 @@ def _generate_session(
                         config.bbox_jitter_px,
                         rng,
                     ),
-                    confidence=float(
-                        np.clip(0.6 + 0.05 * b + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 0.9)
+                    confidence=_clamp(
+                        0.6 + 0.05 * b + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 0.9
                     ),
                 )
             )
         if has_ped[t]:
-            px = float(np.clip(ped_x0 + ped_dir * 8.0 * t, 10.0, IMAGE_W - 60.0))
+            px = _clamp(ped_x0 + ped_dir * 8.0 * t, 10.0, IMAGE_W - 60.0)
             objects.append(
                 DetectedObject(
                     category="pedestrian",

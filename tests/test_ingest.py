@@ -31,6 +31,15 @@ from speedcast.synth import SynthConfig, generate, write_logs
 from speedcast.types import Action, CategoryQuota, DetectedObject, FrameDetections, SensorSample
 
 QUOTA = CategoryQuota(3, 2, 1)
+V1_ARCHIVE = Path(__file__).parent / "data" / "clipset_v1.npz"
+CLIP_ARRAYS = (
+    "features", "mask", "labels", "sessions", "anchors", "scenarios",
+    "train_idx", "val_idx", "test_idx", "norm_mean", "norm_std",
+)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def frame(i, objects=()):
@@ -147,10 +156,13 @@ class TestAssembleClips:
         clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
         # anchors run from T-1 to len-FT-1 inclusive
         m = 12 - 2 - 3
-        assert clips["features"].shape == (m, 4, QUOTA.total, 4)
-        assert clips["mask"].shape == (m, 4, QUOTA.total)
+        assert clips["windows"].shape == (m, 4)
+        # frames 0 .. 9 are each some clip's history, stored once
+        assert clips["frames"].shape == (10, QUOTA.total, 4)
+        assert clips["frame_mask"].shape == (10, QUOTA.total)
         assert clips["labels"].shape == clips["scenarios"].shape == (m,)
         np.testing.assert_array_equal(clips["anchors"], np.arange(3, 3 + m))
+        np.testing.assert_array_equal(clips["windows"], np.arange(m)[:, None] + np.arange(4))
 
     def test_each_clip_holds_its_own_window(self):
         frames = [frame(i, [car(x1=10 * i)]) for i in range(12)]
@@ -159,13 +171,15 @@ class TestAssembleClips:
         for k, anchor in enumerate(clips["anchors"]):
             for t in range(4):
                 feats, mask = select_top_n(frames[anchor - 3 + t], QUOTA)
-                np.testing.assert_array_equal(clips["features"][k, t], feats)
-                np.testing.assert_array_equal(clips["mask"][k, t], mask)
+                row = clips["windows"][k, t]
+                np.testing.assert_array_equal(clips["frames"][row], feats)
+                np.testing.assert_array_equal(clips["frame_mask"][row], mask)
 
     def test_no_valid_anchor_gives_empty_arrays(self):
         frames, sensors = self._session(n=4)
         clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
-        assert clips["features"].shape == (0, 4, QUOTA.total, 4)
+        assert clips["frames"].shape == (0, QUOTA.total, 4)
+        assert clips["windows"].shape == (0, 4) and clips["windows"].dtype == np.int64
         assert clips["labels"].dtype == np.int64 and len(clips["anchors"]) == 0
 
     def test_coast_targets_are_skipped(self):
@@ -179,6 +193,9 @@ class TestAssembleClips:
         sensors[4] = sensor(4, steer=40.0)
         clips = assemble_clips(frames, sensors, T=4, FT=2, quota=QUOTA)
         assert not np.any((clips["anchors"] - 3 <= 4) & (4 <= clips["anchors"]))
+        # frame 4 is in no clip's history, so the frame table skips it
+        np.testing.assert_array_equal(np.unique(clips["windows"]), np.arange(len(clips["frames"])))
+        assert len(clips["frames"]) == 9
 
     def test_bad_dims_raise(self):
         frames, sensors = self._session()
@@ -253,14 +270,30 @@ class TestBuildDataset:
         assert small_dataset.norm_mean.shape == (4,)
         assert np.all(small_dataset.norm_std > 0)
 
+    def test_frame_table_holds_each_used_frame_once(self, small_dataset):
+        ds = small_dataset
+        frame_of_row = {}
+        for i, t in np.ndindex(ds.windows.shape):
+            key = (str(ds.sessions[i]), int(ds.anchors[i]) - ds.T + 1 + t)
+            assert frame_of_row.setdefault(int(ds.windows[i, t]), key) == key
+        assert sorted(frame_of_row) == list(range(len(ds.frames)))
+        assert len(set(frame_of_row.values())) == len(ds.frames)
+
+    def test_subset_gathers_the_expanded_clips(self, small_dataset):
+        idx = small_dataset.train_idx[:7]
+        feats, mask, labels = small_dataset.subset(idx)
+        assert_same_bits(feats, small_dataset.features[idx])
+        assert_same_bits(mask, small_dataset.mask[idx])
+        assert_same_bits(labels, small_dataset.labels[idx])
+
 
 class TestArchiveRoundTrip:
     def test_save_load_is_bit_exact(self, small_dataset, tmp_path):
         path = tmp_path / "clips.npz"
         small_dataset.save(path)
         loaded = ClipDataset.load(path)
-        np.testing.assert_array_equal(loaded.features, small_dataset.features)
-        np.testing.assert_array_equal(loaded.mask, small_dataset.mask)
+        for key in ("frames", "frame_mask", "windows", *CLIP_ARRAYS):
+            assert_same_bits(getattr(loaded, key), getattr(small_dataset, key))
         np.testing.assert_array_equal(loaded.labels, small_dataset.labels)
         np.testing.assert_array_equal(loaded.train_idx, small_dataset.train_idx)
         np.testing.assert_array_equal(loaded.norm_mean, small_dataset.norm_mean)
@@ -278,6 +311,35 @@ class TestArchiveRoundTrip:
         loaded = ClipDataset.load(path)
         assert set(loaded.sessions.tolist()) == {name}
 
+    def test_schema_1_archive_loads_as_its_writer_loaded_it(self):
+        """A /1 archive loads to the per-clip arrays it stores, which is what the /1 loader returned."""
+        loaded = ClipDataset.load(V1_ARCHIVE)
+        with np.load(V1_ARCHIVE) as data:
+            assert str(data["schema"]) == "speedcast-clipset/1"
+            stored = {key: data[key] for key in data.files}
+        assert (loaded.T, loaded.FT) == tuple(stored["dims"])
+        assert loaded.quota == CategoryQuota(*(int(x) for x in stored["quota"]))
+        for key in CLIP_ARRAYS:
+            assert_same_bits(getattr(loaded, key), stored[key])
+
+    def test_build_reproduces_the_schema_1_archive(self):
+        """The frame table expands to the clips, split and statistics the /1 writer stored, bit for bit."""
+        synth = generate(SynthConfig(sessions=3, frames_per_session=40, seed=21))
+        ds = build_dataset(synth.sessions, T=4, FT=1, quota=QUOTA, seed=5)
+        assert len(ds.frames) < ds.windows.size
+        with np.load(V1_ARCHIVE) as data:
+            for key in CLIP_ARRAYS:
+                assert_same_bits(getattr(ds, key), data[key])
+
+    def test_schema_1_clip_shapes_checked(self, tmp_path):
+        with np.load(V1_ARCHIVE) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["features"] = payload["features"][:, :-1]
+        path = tmp_path / "clips.npz"
+        np.savez(path, **payload)
+        with pytest.raises(InvalidRecordError, match="features"):
+            ClipDataset.load(path)
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, schema=np.array("other/9"))
@@ -291,22 +353,28 @@ class TestArchiveRoundTrip:
             ClipDataset.load(path)
 
     @staticmethod
-    def _nan_feature(d):
-        d["features"] = d["features"].copy()
-        d["features"][0, 0, 0, 0] = np.nan
+    def _set(d, key, index, value):
+        d[key] = d[key].copy()
+        d[key][index] = value
 
     @pytest.mark.parametrize(
         "edit,named",
         [
             (lambda d: d.pop("labels"), "labels"),
             (lambda d: d.update({"test_idx": np.append(d["test_idx"], len(d["labels"]))}), "test_idx"),
-            (lambda d: d.update({"mask": d["mask"][:, :, :-1]}), "mask"),
-            (lambda d: TestArchiveRoundTrip._nan_feature(d), "non-finite"),
+            (lambda d: d.update({"frame_mask": d["frame_mask"][:, :-1]}), "frame_mask"),
+            (lambda d: TestArchiveRoundTrip._set(d, "frames", (0, 0, 0), np.nan), "frames hold a non-finite"),
+            (lambda d: TestArchiveRoundTrip._set(d, "windows", (0, 0), len(d["frames"])), "windows"),
+            (lambda d: TestArchiveRoundTrip._set(d, "windows", (-1, -1), -1), "windows"),
+            (lambda d: d.update({"windows": d["windows"][:, :-1]}), "windows"),
             (lambda d: d.update({"labels": d["labels"] + 4}), "labels"),
             (lambda d: d.update({"norm_std": np.zeros(4)}), "norm"),
             (lambda d: d.update({"dims": np.array([5])}), "dims"),
         ],
-        ids=["missing-array", "index-range", "mask-shape", "nan-feature", "label-range", "norm-std", "dims"],
+        ids=[
+            "missing-array", "index-range", "mask-shape", "nan-feature", "window-past-frames",
+            "window-negative", "windows-shape", "label-range", "norm-std", "dims",
+        ],
     )
     def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):
         path = tmp_path / "clips.npz"
@@ -331,6 +399,29 @@ class TestLogIO:
         path.write_text('{"session": "a", "frame_index": "x"}\n')
         with pytest.raises(InvalidRecordError):
             read_sensor_log(path)
+
+    def test_repeated_detection_frame_rejected(self, tmp_path):
+        rows = [
+            {"session": "a", "frame_index": i, "timestamp": i / 3, "width": 10, "height": 10, "objects": []}
+            for i in (0, 1, 1)
+        ]
+        self._assert_repeat_rejected(tmp_path, "detections", rows, {**SENSOR_RECORD, "session": "a"})
+
+    def test_repeated_sensor_frame_rejected(self, tmp_path):
+        rows = [{**SENSOR_RECORD, "frame_index": 1, "brake_kpa": kpa} for kpa in (5.0, 2000.0)]
+        self._assert_repeat_rejected(tmp_path, "sensors", rows, DETECTION_RECORD)
+
+    @staticmethod
+    def _assert_repeat_rejected(logs, log, rows, other_record):
+        """The second record of a frame fails the reader at its own line, and `prepare` with exit 3."""
+        other = "sensors" if log == "detections" else "detections"
+        (logs / f"{log}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        (logs / f"{other}.jsonl").write_text(json.dumps(other_record) + "\n")
+        path = logs / f"{log}.jsonl"
+        reader = read_detection_log if log == "detections" else read_sensor_log
+        with pytest.raises(InvalidRecordError, match=re.escape(f"{path}:{len(rows)}: repeated")):
+            reader(path)
+        assert main(["prepare", "--logs", str(logs), "--out", str(logs / "out")]) == 3
 
     def test_frames_sorted_by_index(self, tmp_path):
         path = tmp_path / "detections.jsonl"
@@ -415,11 +506,13 @@ class TestLogValidation:
     def test_corrupted_record_is_rejected_with_its_line(self, case, valid_before):
         """Any one corruption of a valid record fails the reader at path:line and `prepare` with exit 3."""
         log, bad_line = case
-        valid = {"detections": json.dumps(DETECTION_RECORD), "sensors": json.dumps(SENSOR_RECORD)}
+        valid = {"detections": DETECTION_RECORD, "sensors": SENSOR_RECORD}
         with tempfile.TemporaryDirectory() as tmp:
             logs = Path(tmp)
-            for name, line in valid.items():
-                lines = [line] * valid_before + ([bad_line] if name == log else []) + [line]
+            for name, record in valid.items():
+                # valid records of other frames, since a repeated frame is itself invalid
+                good = [json.dumps({**record, "frame_index": 10 + k}) for k in range(valid_before + 1)]
+                lines = good[:valid_before] + ([bad_line] if name == log else []) + good[valid_before:]
                 (logs / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
             path = logs / f"{log}.jsonl"
             reader = read_detection_log if log == "detections" else read_sensor_log

@@ -1,11 +1,17 @@
 """Synthetic scene generator: determinism, labeling rule, log round-trip."""
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speedcast.errors import InvalidConfigError
 from speedcast.ingest import derive_label, read_detection_log, read_sensor_log
 from speedcast.synth import (
     FLIPPED,
+    _clamp,
     LatentState,
     SynthConfig,
     generate,
@@ -33,6 +39,31 @@ class TestConfig:
             SynthConfig(reaction_delay=0)
         with pytest.raises(InvalidConfigError):
             SynthConfig(segment_frames=(2, 5))
+
+
+_bounds = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def clamp_cases(draw):
+    """(x, lo, hi) with lo <= hi; x is often a bound, a zero of either sign or not finite."""
+    lo, hi = sorted([draw(st.one_of(_bounds, st.sampled_from([0.0, -0.0]))) for _ in range(2)])
+    x = draw(st.one_of(st.floats(width=64), st.sampled_from([lo, hi, 0.0, -0.0, math.inf, -math.inf, math.nan])))
+    return x, lo, hi
+
+
+class TestClamp:
+    @given(clamp_cases())
+    def test_equals_np_clip_bit_for_bit(self, case):
+        x, lo, hi = case
+        expected = float(np.clip(x, lo, hi))
+        got = _clamp(x, lo, hi)
+        if x == expected == 0.0 and (x == lo or x == hi):
+            # A zero x tying a zero bound: numpy 2.4 returns x, older numpy may
+            # return the bound, and the generator clamps no zero. `_clamp` keeps x.
+            assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, x)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 class TestOracleRule:
