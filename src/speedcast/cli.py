@@ -81,6 +81,9 @@ def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> Trai
     overrides = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(overrides, dict):
         raise InvalidConfigError(f"train config {path} is not a JSON object")
+    unknown = sorted(overrides.keys() - {f.name for f in dataclasses.fields(TrainConfig)})
+    if unknown:
+        raise InvalidConfigError(f"unknown train config fields in {path}: {unknown}")
     overrides.setdefault("seed", seed)
     for name in ("batch_size", "max_epochs", "step_size"):
         if getattr(args, name) is not None:
@@ -154,6 +157,7 @@ def run_train(
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(best, ckpt)
+    fault = report.fault
     report_path = out / "train_report.json"
     with open(report_path, "w", encoding="utf-8") as handle:
         json.dump(
@@ -162,6 +166,9 @@ def run_train(
                 "best_epoch": report.best_epoch,
                 "best_val_loss": report.best_val_loss,
                 "aborted": report.aborted,
+                "fault": None if fault is None else {
+                    "epoch": fault.epoch, "batch": fault.batch, "tensor": fault.tensor, "message": str(fault),
+                },
             },
             handle,
             indent=2,
@@ -272,14 +279,18 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     # difference disagrees with the subgradient by construction.
     for _, arr in params.named_arrays():
         arr += rng.normal(scale=0.05, size=arr.shape)
-    batch = 2
-    features = rng.uniform(0.0, 1.0, size=(batch, config.T, config.quota.total, 4))
-    mask = rng.uniform(size=(batch, config.T, config.quota.total)) < 0.7
-    mask[:, :, 0] = True  # keep at least one real car per frame
+    # A frame table read by three clips: the second overlaps the first in T-1
+    # frames and the third repeats the first, as oversampling does, so a
+    # frame's gradient sums over several clips and several steps.
+    n_frames = config.T + 1
+    features = rng.uniform(0.0, 1.0, size=(n_frames, config.quota.total, 4))
+    mask = rng.uniform(size=(n_frames, config.quota.total)) < 0.7
+    mask[:, 0] = True  # keep at least one real car per frame
     features[~mask] = 0.0
-    labels = rng.integers(0, 4, size=batch)
+    windows = np.array([0, 1, 0])[:, None] + np.arange(config.T)
+    labels = rng.integers(0, 4, size=2)[[0, 1, 0]]
     normwise: dict[str, float] = {}
-    worst = gradient_check(features, mask, labels, params, normwise=normwise)
+    worst = gradient_check(features, mask, labels, params, normwise=normwise, windows=windows)
     worst_overall = max(worst.values())
     print("tensor: worst coordinate error (the gate), norm-wise error")
     for name in sorted(worst, key=lambda n: (worst[n], normwise[n]), reverse=True):

@@ -1,4 +1,7 @@
 """Exception hierarchy with CLI exit-code mapping."""
+from __future__ import annotations
+
+from typing import Optional
 
 
 class SpeedcastError(Exception):
@@ -32,6 +35,16 @@ class ShapeError(SpeedcastError):
 
 
 class NumericFaultError(SpeedcastError):
-    """A non-finite value appeared during training or inference."""
+    """A non-finite value appeared during training or inference.
+
+    `tensor` names the gradient that went non-finite, or is "loss"; training
+    sets `epoch` (from 1) and `batch` (from 0 within the epoch) where it arose.
+    """
 
     exit_code = 4
+
+    def __init__(self, message: str, tensor: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.tensor = tensor
+        self.epoch: Optional[int] = None
+        self.batch: Optional[int] = None

@@ -10,10 +10,9 @@ import json
 import math
 import warnings
 import zipfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -49,17 +48,26 @@ _CLIPSET_KEYS = {
 }
 
 
-@contextmanager
-def open_archive(path: str | Path, kind: str) -> Iterator[np.lib.npyio.NpzFile]:
-    """The `.npz` archive at `path`; a file of any other format raises InvalidRecordError."""
+def read_archive(path: str | Path, kind: str) -> dict[str, np.ndarray]:
+    """Every array of the `.npz` archive at `path`, by name.
+
+    A file of any other format, or an array that numpy reads only by unpickling
+    (an object array), raises InvalidRecordError naming it.
+    """
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InvalidRecordError(f"{path} is not a {kind} archive: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise InvalidRecordError(f"{path} is not a {kind} archive: it holds a single array")
+    arrays = {}
     with data:
-        yield data
+        for key in data.files:
+            try:
+                arrays[key] = data[key]
+            except ValueError as exc:
+                raise InvalidRecordError(f"{kind} array {key} cannot be read: {exc}") from exc
+    return arrays
 
 
 def downsample(
@@ -338,16 +346,16 @@ class ClipDataset:
         A schema /1 archive loads as a frame table that holds each clip's frames
         in their own rows.
         """
-        with open_archive(path, "clipset") as data:
-            schema = str(data["schema"]) if "schema" in data.files else None
-            keys = _CLIPSET_KEYS.get(schema)
-            if keys is None:
-                raise InvalidRecordError(f"unexpected clipset schema {schema!r}")
-            missing = sorted(set(keys) - set(data.files))
-            extra = sorted(set(data.files) - set(keys))
-            if missing or extra:
-                raise InvalidRecordError(f"clipset arrays: missing {missing}, unexpected {extra}")
-            arrays = {key: data[key] for key in keys if key != "schema"}
+        data = read_archive(path, "clipset")
+        schema = str(data["schema"]) if "schema" in data else None
+        keys = _CLIPSET_KEYS.get(schema)
+        if keys is None:
+            raise InvalidRecordError(f"unexpected clipset schema {schema!r}")
+        missing = sorted(set(keys) - set(data))
+        extra = sorted(set(data) - set(keys))
+        if missing or extra:
+            raise InvalidRecordError(f"clipset arrays: missing {missing}, unexpected {extra}")
+        arrays = {key: data[key] for key in keys if key != "schema"}
         dims, quota = arrays.pop("dims"), arrays.pop("quota")
         kinds = {dims.dtype.kind, quota.dtype.kind}
         if dims.shape != (2,) or quota.shape != (3,) or not kinds <= {"i", "u"}:

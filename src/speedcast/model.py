@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidRecordError, ShapeError
 from .graph import ChebLayerParams, spatial_encode_backward, spatial_encode_forward
-from .ingest import open_archive
+from .ingest import read_archive
 from .types import NUM_ACTIONS, CategoryQuota
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
@@ -468,24 +468,80 @@ def _mlp_backward(dlogits: np.ndarray, cache: dict, p: MlpParams) -> tuple[np.nd
     return dv, g
 
 
+def _scatter_plan(windows: np.ndarray, n_frames: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(frames, steps) index pairs that sum clip steps into their frames, one pair per rank.
+
+    Pair r holds the r-th occurrence, in step order, of every frame that
+    `windows` names more than r times; no frame repeats within a pair, so each
+    pair is one fancy-indexed add. This is the rank-major layout of
+    `graph.Segments`, with a frame's occurrences in place of a graph's nodes.
+    """
+    flat = windows.ravel()
+    # numpy's stable sort is a radix sort on 16-bit or narrower integers,
+    # several times faster on a batch's indices than on int64 ones.
+    index = np.min_scalar_type(max(n_frames, flat.size))
+    order = np.argsort(flat.astype(index), kind="stable")  # steps by frame, in step order within a frame
+    frames = flat[order]
+    first = np.flatnonzero(np.concatenate([[True], frames[1:] != frames[:-1]]))
+    rank = np.arange(flat.size) - np.repeat(first, np.diff(np.append(first, flat.size)))
+    by_rank = np.argsort(rank.astype(index), kind="stable")
+    picks = np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
+    return [(frames[pick], order[pick]) for pick in picks]
+
+
+def _sum_into_frames(
+    d_steps: np.ndarray, plan: list[tuple[np.ndarray, np.ndarray]], n_frames: int
+) -> np.ndarray:
+    """(n_frames, d): each frame's row is the sum of its steps' rows of (S, d) `d_steps`.
+
+    A frame adds its steps in step order; a frame no step names gets zeros.
+    """
+    out = np.zeros((n_frames, d_steps.shape[-1]), dtype=d_steps.dtype)
+    (frames, steps), *rest = plan
+    out[frames] = d_steps[steps]
+    for frames, steps in rest:
+        out[frames] += d_steps[steps]
+    return out
+
+
 def model_forward(
-    features: np.ndarray, mask: np.ndarray, params: ModelParams
+    features: np.ndarray,
+    mask: np.ndarray,
+    params: ModelParams,
+    windows: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Batched forward: (B, T, N, 4) -> (probs, logits, cache)."""
+    """Batched forward to (probs, logits, cache), on a frame table or on expanded clips.
+
+    With `windows` (B, T), `features` (U, N, 4) and `mask` (U, N) are a table of
+    frames and step t of clip b is row `windows[b, t]`: each view's graph
+    encoder runs once per frame, however many clips share it, and the pooled
+    rows are gathered into the clips' steps. Without it, `features` (B, T, N, 4)
+    and `mask` (B, T, N) are the clips' steps themselves, the case
+    `windows = arange(B * T).reshape(B, T)`, with no gather.
+    """
     cfg = params.config
-    if features.ndim != 4 or features.shape[1:] != (cfg.T, cfg.quota.total, 4):
-        raise ShapeError(
-            f"features {features.shape} do not match config (T={cfg.T}, N={cfg.quota.total})"
-        )
-    if mask.shape != features.shape[:3] or mask.dtype != np.bool_:
-        raise ShapeError(f"mask {mask.dtype} {mask.shape} must be bool {features.shape[:3]}")
-    b = features.shape[0]
+    n = cfg.quota.total
+    expected = (cfg.T, n, 4) if windows is None else (n, 4)
+    if features.ndim != len(expected) + 1 or features.shape[1:] != expected:
+        raise ShapeError(f"features {features.shape} do not match config (T={cfg.T}, N={n})")
+    if mask.shape != features.shape[:-1] or mask.dtype != np.bool_:
+        raise ShapeError(f"mask {mask.dtype} {mask.shape} must be bool {features.shape[:-1]}")
+    if windows is None:
+        b = features.shape[0]
+    else:
+        if windows.ndim != 2 or windows.shape[1] != cfg.T or windows.dtype.kind not in "iu":
+            raise ShapeError(f"windows {windows.dtype} {windows.shape} must be (B, T={cfg.T}) integers")
+        if windows.size and not 0 <= windows.min() <= windows.max() < len(features):
+            raise ShapeError(f"windows hold frame indices outside [0, {len(features)})")
+        b = windows.shape[0]
     parts = []
     view_caches = {}
     for view, block in cfg.views():
-        x = features[:, :, block, :]
-        m = mask[:, :, block]
+        x = features[..., block, :]
+        m = mask[..., block]
         pooled, sc = spatial_encode_forward(x, m, params.graph[view])
+        if windows is not None:
+            pooled = pooled[windows]
         vc = {"spatial": sc, "block": block}
         if cfg.temporal:
             final, lc = lstm_forward(pooled, params.lstm[view])
@@ -497,7 +553,8 @@ def model_forward(
     v = np.concatenate(parts, axis=1)
     logits, mlp_cache = _mlp_forward(v, params.classifier)
     probs = softmax(logits)
-    return probs, logits, {"views": view_caches, "mlp": mlp_cache, "batch": b}
+    cache = {"views": view_caches, "mlp": mlp_cache, "batch": b, "windows": windows, "shape": features.shape}
+    return probs, logits, cache
 
 
 def model_backward(
@@ -506,14 +563,18 @@ def model_backward(
     params: ModelParams,
     want_input_grad: bool = False,
 ) -> tuple[dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Reverse mode from logit gradients to every parameter tensor."""
+    """Reverse mode from logit gradients to every parameter tensor.
+
+    On a frame table, each frame's pooled gradient is the sum over the clip
+    steps that read it, added in a fixed order. The input gradient, when asked
+    for, is shaped like the `features` of the forward pass.
+    """
     cfg = params.config
-    b = cache["batch"]
+    b, windows = cache["batch"], cache["windows"]
     dv, mlp_grads = _mlp_backward(dlogits, cache["mlp"], params.classifier)
     grads = {f"classifier.{k}": v for k, v in mlp_grads.items()}
-    dfeatures = (
-        np.zeros((b, cfg.T, cfg.quota.total, 4), dtype=dv.dtype) if want_input_grad else None
-    )
+    dfeatures = np.zeros(cache["shape"], dtype=dv.dtype) if want_input_grad else None
+    plan = None if windows is None else _scatter_plan(windows, cache["shape"][0])  # shared by the views
     offset = 0
     for view, block in cfg.views():
         dpart = dv[:, offset : offset + cfg.view_dim]
@@ -523,6 +584,8 @@ def model_backward(
             dpooled, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])
         else:
             dpooled, lstm_grads = dpart.reshape(b, cfg.T, cfg.pooled_dim), []
+        if plan is not None:
+            dpooled = _sum_into_frames(dpooled.reshape(-1, cfg.pooled_dim), plan, cache["shape"][0])
         dx, graph_grads = spatial_encode_backward(
             dpooled, vc["spatial"], params.graph[view], want_input_grad
         )
@@ -531,7 +594,7 @@ def model_backward(
                 grads[f"{kind}.{view}.{i}.weights"] = dw
                 grads[f"{kind}.{view}.{i}.bias"] = dbias
         if dfeatures is not None:
-            dfeatures[:, :, vc["block"], :] += dx
+            dfeatures[..., vc["block"], :] += dx
     return grads, dfeatures
 
 
@@ -574,20 +637,20 @@ def _stack_v1_gates(tensors: dict[str, np.ndarray], params: ModelParams) -> None
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Rebuild the parameters `save_checkpoint` wrote, at this schema or at /1.
 
-    A file that is not an `.npz` archive, a missing field or tensor, a config
-    that lacks a field, an unexpected tensor, or a tensor of the wrong shape or
-    dtype raises InvalidRecordError naming it.
+    A file that is not an `.npz` archive, an array numpy reads only by
+    unpickling, a missing field or tensor, a config that lacks a field, an
+    unexpected tensor, or a tensor of the wrong shape or dtype raises
+    InvalidRecordError naming it.
     """
-    with open_archive(path, "checkpoint") as data:
-        missing = [key for key in _CHECKPOINT_META if key not in data.files]
-        if missing:
-            raise InvalidRecordError(f"checkpoint lacks {missing}")
-        schema = str(data["schema"])
-        if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
-            raise InvalidRecordError(f"unexpected checkpoint schema {schema!r}")
-        config = ModelConfig.from_json(str(data["config"]))
-        params = _build_params(config, int(data["seed"]), lambda shape, *_: np.empty(shape))
-        tensors = {k: data[k] for k in data.files if k not in _CHECKPOINT_META}
+    tensors = read_archive(path, "checkpoint")
+    missing = [key for key in _CHECKPOINT_META if key not in tensors]
+    if missing:
+        raise InvalidRecordError(f"checkpoint lacks {missing}")
+    schema = str(tensors.pop("schema"))
+    if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
+        raise InvalidRecordError(f"unexpected checkpoint schema {schema!r}")
+    config = ModelConfig.from_json(str(tensors.pop("config")))
+    params = _build_params(config, int(tensors.pop("seed")), lambda shape, *_: np.empty(shape))
     if schema == _CHECKPOINT_SCHEMA_V1:
         _stack_v1_gates(tensors, params)
     params.load_arrays(tensors)

@@ -27,10 +27,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def batch_loss(
-    features: np.ndarray, mask: np.ndarray, labels: np.ndarray, params: ModelParams
+    features: np.ndarray,
+    mask: np.ndarray,
+    labels: np.ndarray,
+    params: ModelParams,
+    windows: Optional[np.ndarray] = None,
 ) -> float:
-    """Mean cross-entropy of one batch, computed in the log domain."""
-    _, logits, _ = model_forward(features, mask, params)
+    """Mean cross-entropy of one batch, computed in the log domain.
+
+    The batch is a frame table with `windows` or expanded clips, as in `model_forward`.
+    """
+    _, logits, _ = model_forward(features, mask, params, windows)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(len(labels)), labels].mean())
 
@@ -41,11 +48,17 @@ def loss_and_grads(
     labels: np.ndarray,
     params: ModelParams,
     want_input_grad: bool = False,
+    windows: Optional[np.ndarray] = None,
 ) -> tuple[float, dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Mean batch loss plus the gradient of every parameter tensor."""
+    """Mean batch loss, the gradient of every parameter tensor and, if wanted, of `features`.
+
+    The batch is a frame table with `windows` or expanded clips, as in
+    `model_forward`. A non-finite gradient or loss raises NumericFaultError
+    naming the tensor, or "loss".
+    """
     if len(labels) == 0:
         raise InvalidConfigError("empty batch")
-    probs, logits, cache = model_forward(features, mask, params)
+    probs, logits, cache = model_forward(features, mask, params, windows)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(len(labels)), labels].mean())
     dlogits = probs.copy()
@@ -54,9 +67,9 @@ def loss_and_grads(
     grads, dfeatures = model_backward(dlogits, cache, params, want_input_grad)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise NumericFaultError(f"non-finite gradient in {name}")
+            raise NumericFaultError(f"non-finite gradient in {name}", tensor=name)
     if not np.isfinite(loss):
-        raise NumericFaultError("non-finite loss")
+        raise NumericFaultError("non-finite loss", tensor="loss")
     return loss, grads, dfeatures
 
 
@@ -166,7 +179,11 @@ class TrainReport:
     stop_epoch: int = 0
     best_epoch: int = -1
     best_val_loss: float = np.inf
-    aborted: bool = False
+    fault: Optional[NumericFaultError] = None  # what aborted training, with its epoch, batch and tensor
+
+    @property
+    def aborted(self) -> bool:
+        return self.fault is not None
 
     def rows(self) -> list[tuple[int, float, float, float]]:
         return [
@@ -189,6 +206,10 @@ def train(
     seeded order each epoch; validates on the val split after every epoch.
     Each batch computes in COMPUTE_DTYPE on a copy of `params`, which stay
     float64 and are updated in place; validation uses `params` themselves.
+    Batches and the val split reach the model as the distinct frames they hold
+    plus windows into them, so each shared frame is encoded once per batch.
+    A NumericFaultError stops training; the report keeps it, with the epoch
+    and the batch (from 0 within the epoch) it arose in.
     """
     if len(dataset.train_idx) == 0 or len(dataset.val_idx) == 0:
         raise InvalidConfigError("train and val splits must be non-empty")
@@ -197,7 +218,10 @@ def train(
     report = TrainReport()
     best_snapshot = params.clone()
     rng = np.random.default_rng(config.seed)
-    val_feats, val_mask, val_labels = dataset.subset(dataset.val_idx)
+    frames = dataset.frames.astype(COMPUTE_DTYPE)
+    val_rows, val_windows = _frame_batch(dataset.windows, dataset.val_idx)
+    val_feats, val_mask = dataset.frames[val_rows], dataset.frame_mask[val_rows]
+    val_labels = dataset.labels[dataset.val_idx]
     train_idx = dataset.train_idx
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -207,15 +231,18 @@ def train(
         try:
             for lo in range(0, len(order), config.batch_size):
                 batch = train_idx[order[lo : lo + config.batch_size]]
-                feats, mask, labels = dataset.subset(batch)
+                rows, windows = _frame_batch(dataset.windows, batch)
                 compute = params.clone(COMPUTE_DTYPE)
-                loss, grads, _ = loss_and_grads(feats.astype(COMPUTE_DTYPE), mask, labels, compute)
+                loss, grads, _ = loss_and_grads(
+                    frames[rows], dataset.frame_mask[rows], dataset.labels[batch], compute, windows=windows
+                )
                 adam_step(params, grads, state, config)
                 epoch_loss += loss
                 n_batches += 1
-            val_loss = batch_loss(val_feats, val_mask, val_labels, params)
-        except NumericFaultError:
-            report.aborted = True
+            val_loss = batch_loss(val_feats, val_mask, val_labels, params, val_windows)
+        except NumericFaultError as fault:
+            fault.epoch, fault.batch = epoch, n_batches
+            report.fault = fault.with_traceback(None)  # its frames hold the batch's arrays
             report.stop_epoch = epoch
             break
         report.train_losses.append(epoch_loss / max(n_batches, 1))
@@ -233,6 +260,14 @@ def train(
     return best_snapshot, report
 
 
+def _frame_batch(windows: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, batch windows): the frame-table rows the clips `idx` read, each once and
+    in order, and each clip's steps as (len(idx), T) indices into those rows."""
+    # A flat argument: numpy 2.0 shapes the inverse of an n-d array like it, 1.x and 2.1+ do not.
+    rows, inverse = np.unique(windows[idx].ravel(), return_inverse=True)
+    return rows, inverse.reshape(len(idx), windows.shape[1])
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient verification
 # ---------------------------------------------------------------------------
@@ -246,8 +281,11 @@ def gradient_check(
     step: float = 1e-5,
     abs_floor: float = 1e-8,
     normwise: Optional[dict[str, float]] = None,
+    windows: Optional[np.ndarray] = None,
 ) -> dict[str, float]:
     """Compare every gradient coordinate against central finite differences.
+
+    The batch is a frame table with `windows` or expanded clips, as in `model_forward`.
 
     Returns per-tensor worst relative error. Coordinates whose absolute
     discrepancy is below `abs_floor` count as exact: there the difference is
@@ -255,7 +293,7 @@ def gradient_check(
     If `normwise` is given, it receives each tensor's norm-wise error
     ||fd - g|| / max(||fd||, ||g||), which has no floor and so shows the margin.
     """
-    _, grads, _ = loss_and_grads(features, mask, labels, params)
+    _, grads, _ = loss_and_grads(features, mask, labels, params, windows=windows)
     worst: dict[str, float] = {}
     for name, arr in params.named_arrays():
         g = grads[name]
@@ -266,9 +304,9 @@ def gradient_check(
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            up = batch_loss(features, mask, labels, params)
+            up = batch_loss(features, mask, labels, params, windows)
             flat[idx] = orig - step
-            down = batch_loss(features, mask, labels, params)
+            down = batch_loss(features, mask, labels, params, windows)
             flat[idx] = orig
             fd = fds[idx] = (up - down) / (2.0 * step)
             diff = abs(fd - gflat[idx])

@@ -129,10 +129,41 @@ class TestTrainEvalCommands:
         assert "is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_unknown_train_config_key_is_config_error(self, tmp_path, capsys, command):
+        config = tmp_path / "train.json"
+        config.write_text('{"bogus": 1, "batch_size": 8}')
+        args = {
+            "train": ["train", "--archive", str(tmp_path / "clips.npz"), "--config", str(config)],
+            "pipeline": ["pipeline", "--train-config", str(config)],
+        }[command]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown train config fields in" in err and "['bogus']" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_numeric_fault_is_located_in_train_report(self, trained, tmp_path):
+        """A step size of 1e300 overflows the weights after the first step, so the second batch faults."""
+        rc = main(
+            [
+                "train", "--archive", str(trained / "data" / "clips.npz"), "--out", str(tmp_path),
+                "--variant", "base", "--batch-size", "32", "--step-size", "1e300", "--quiet",
+            ]
+        )
+        assert rc == 4
+        report = json.loads((tmp_path / "train_report.json").read_text())
+        assert report["aborted"] and report["stop_epoch"] == 1
+        fault = report["fault"]
+        assert (fault["epoch"], fault["batch"]) == (1, 1)
+        assert fault["tensor"].startswith("classifier.")
+        assert fault["message"] == f"non-finite gradient in {fault['tensor']}"
+
     def test_train_artifacts(self, trained):
         assert (trained / "model" / "checkpoint.npz").exists()
         report = json.loads((trained / "model" / "train_report.json").read_text())
         assert report["stop_epoch"] == 2
+        assert not report["aborted"] and report["fault"] is None
         lines = (trained / "model" / "train_metrics.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,seconds"
         assert len(lines) == 3

@@ -370,10 +370,11 @@ class TestArchiveRoundTrip:
             (lambda d: d.update({"labels": d["labels"] + 4}), "labels"),
             (lambda d: d.update({"norm_std": np.zeros(4)}), "norm"),
             (lambda d: d.update({"dims": np.array([5])}), "dims"),
+            (lambda d: d.update({"labels": d["labels"].astype(object)}), "clipset array labels cannot be read"),
         ],
         ids=[
             "missing-array", "index-range", "mask-shape", "nan-feature", "window-past-frames",
-            "window-negative", "windows-shape", "label-range", "norm-std", "dims",
+            "window-negative", "windows-shape", "label-range", "norm-std", "dims", "object-labels",
         ],
     )
     def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):

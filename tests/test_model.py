@@ -244,10 +244,106 @@ class TestForward:
         probs, _, _ = model_forward(features, mask, params)
         np.testing.assert_allclose(probs, reference_forward(features, mask, params), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", ["past-table", "negative", "length", "float", "flat", "clip-features"])
+    def test_bad_windows_rejected(self, tiny_model_config, bad):
+        params = init_params(tiny_model_config, seed=0)
+        features, mask, _ = random_batch(tiny_model_config, batch=2, seed=0)
+        frames, frame_mask = features.reshape(6, -1, 4), mask.reshape(6, -1)
+        windows = np.arange(6).reshape(2, 3)
+        if bad == "clip-features":
+            frames, frame_mask = features, mask
+        windows = {
+            "past-table": windows + 1,
+            "negative": windows - 1,
+            "length": windows[:, :2],
+            "float": windows.astype(float),
+            "flat": windows.ravel(),
+        }.get(bad, windows)
+        with pytest.raises(ShapeError, match="features" if bad == "clip-features" else "windows"):
+            model_forward(frames, frame_mask, params, windows)
+
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(5, 4))
         np.testing.assert_allclose(softmax(logits), softmax(logits + 100.0), atol=1e-12)
+
+
+@st.composite
+def frame_table_batches(draw):
+    """A model with weights off the init, a frame table and windows into it.
+
+    The windows have the sharing of a training batch: consecutive windows of
+    one stretch of frames overlap, the other windows are random, and some clip
+    repeats, as oversampling makes. The first clip's first step reads a frame
+    with no real node in any view, and the last clip's last step one with no
+    real node in one view.
+    """
+    cfg = ModelConfig(
+        T=draw(st.integers(1, 4)),
+        K=draw(st.integers(0, 3)),
+        quota=CategoryQuota(*draw(st.tuples(*[st.integers(1, 3)] * 3))),
+        graph_widths=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
+        lstm_hidden=draw(st.integers(1, 4)),
+        mlp_widths=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        variant=draw(st.sampled_from(VARIANTS)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(cfg, seed=0)
+    for _, arr in params.named_arrays():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    n_frames = draw(st.integers(cfg.T + 3, 3 * cfg.T + 4))
+    frames = rng.normal(size=(n_frames, cfg.quota.total, 4))  # padded slots keep noise
+    frame_mask = rng.uniform(size=frames.shape[:2]) < 0.6
+    n_sliding = draw(st.integers(1, 4))
+    sliding = rng.integers(0, n_frames - cfg.T - n_sliding + 2) + np.arange(n_sliding)
+    clips = np.concatenate(
+        [
+            sliding[:, None] + np.arange(cfg.T),
+            rng.integers(0, n_frames, size=(draw(st.integers(0, 3)), cfg.T)),
+        ]
+    )
+    windows = clips[np.append(np.arange(len(clips)), rng.integers(len(clips), size=draw(st.integers(1, 3))))]
+    frame_mask[windows[0, 0]] = False
+    _, block = cfg.views()[draw(st.integers(0, len(cfg.views()) - 1))]
+    frame_mask[windows[-1, -1], block] = False
+    return params, frames, frame_mask, windows
+
+
+class TestFrameTable:
+    """A frame table with windows computes what the expanded clips `frames[windows]` compute."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame_table_batches(), st.sampled_from([np.float64, np.float32]))
+    def test_probabilities_match_expanded_clips(self, case, dtype):
+        """Equal to a few units in the last place.
+
+        Bit-identical on training-sized batches, but not always on these tiny
+        ones: a frame's rows then sit in matrix products of another row count,
+        which BLAS may compute with another kernel. With OpenBLAS 0.3.31 on
+        x86-64, about 1 example in 80 differed, by at most 9 eps relative, over
+        3000 examples.
+        """
+        params, frames, frame_mask, windows = case
+        params, frames = params.clone(dtype), frames.astype(dtype)
+        probs, _, _ = model_forward(frames, frame_mask, params, windows)
+        expected, _, _ = model_forward(frames[windows], frame_mask[windows], params)
+        np.testing.assert_allclose(probs, expected, rtol=64 * np.finfo(dtype).eps, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame_table_batches())
+    def test_gradients_match_expanded_clips(self, case):
+        """Each frame's gradient is the sum over the steps that read it, to rounding."""
+        params, frames, frame_mask, windows = case
+        probs, _, cache = model_forward(frames, frame_mask, params, windows)
+        grads, dframes = model_backward(probs, cache, params, want_input_grad=True)
+        probs, _, cache = model_forward(frames[windows], frame_mask[windows], params)
+        expected, dclips = model_backward(probs, cache, params, want_input_grad=True)
+        expected_dframes = np.zeros_like(frames)
+        np.add.at(expected_dframes, windows, dclips)
+        expected["frames"], grads["frames"] = expected_dframes, dframes
+        assert set(grads) == set(expected)
+        for name, g in expected.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
 def float_dtypes(obj, path="cache"):
@@ -373,11 +469,16 @@ class TestCheckpoint:
             (lambda d: d.update({"config": drop_config_field(d["config"], "activation")}), r"lacks \['activation'\]"),
             (lambda d: d.update({"config": edit_config(d["config"], activation="identity")}), "'identity' is not 'relu'"),
             (lambda d: d.update({"config": edit_config(d["config"], activation=None)}), "None is not 'relu'"),
+            (
+                lambda d: d.update({"classifier.b1": d["classifier.b1"].astype(object)}),
+                "checkpoint array classifier.b1 cannot be read",
+            ),
         ],
         ids=[
             "missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
             "config-activation-missing", "config-activation-identity", "config-activation-null",
+            "object-tensor",
         ],
     )
     def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):

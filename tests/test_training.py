@@ -263,9 +263,9 @@ class TestTrainLoop:
         seen = set()
         real = train_module.loss_and_grads
 
-        def spy(features, mask, labels, params, *rest):
+        def spy(features, mask, labels, params, *rest, **options):
             seen.update({features.dtype, *(a.dtype for _, a in params.named_arrays())})
-            return real(features, mask, labels, params, *rest)
+            return real(features, mask, labels, params, *rest, **options)
 
         monkeypatch.setattr(train_module, "loss_and_grads", spy)
         params = init_params(cfg, seed=4)
@@ -291,6 +291,33 @@ class TestTrainLoop:
         )
         assert report.aborted
         assert report.stop_epoch == 1
+        assert (report.fault.epoch, report.fault.batch) == (1, 0)
+        assert report.fault.tensor in params.arrays()
+        assert report.fault.tensor in str(report.fault)
+
+    def test_batches_reach_the_model_as_frame_tables(self, small_dataset, monkeypatch):
+        """Each batch holds each distinct frame once, and the windows rebuild its clips."""
+        cfg = ModelConfig(
+            T=small_dataset.T, FT=small_dataset.FT, K=1, quota=small_dataset.quota,
+            graph_widths=(4, 8), mlp_widths=(8, 8), variant="base",
+        )
+        batches = []
+        real = train_module.loss_and_grads
+
+        def spy(features, mask, labels, params, *rest, windows=None, **options):
+            batches.append((features, mask, labels, windows))
+            return real(features, mask, labels, params, *rest, windows=windows, **options)
+
+        monkeypatch.setattr(train_module, "loss_and_grads", spy)
+        train(small_dataset, init_params(cfg, seed=0), TrainConfig(batch_size=128, max_epochs=1, seed=0))
+        order = np.random.default_rng(0).permutation(len(small_dataset.train_idx))
+        assert len(batches) == -(-len(order) // 128)
+        for lo, (frames, mask, labels, windows) in zip(range(0, len(order), 128), batches):
+            clips = small_dataset.subset(small_dataset.train_idx[order[lo : lo + 128]])
+            assert len(np.unique(windows)) == len(frames) < windows.size
+            np.testing.assert_array_equal(frames[windows], clips[0].astype(np.float32))
+            np.testing.assert_array_equal(mask[windows], clips[1])
+            np.testing.assert_array_equal(labels, clips[2])
 
     def test_empty_split_rejected(self, small_dataset, tiny_model_config):
         import dataclasses
