@@ -71,14 +71,22 @@ def _parse_quota(text: str) -> CategoryQuota:
     raise InvalidConfigError(f"--quota expects three positive counts car,ped,traffic, got {text!r}")
 
 
+def _read_config(path: str, kind: str) -> str:
+    """The text of config file `path`; one that cannot be read is a config error naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot read {kind} config {path}: {exc.strerror or exc}") from exc
+
+
 def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
-    config = SynthConfig.from_json(Path(path).read_text()) if path else SynthConfig()
+    config = SynthConfig.from_json(_read_config(path, "synth")) if path else SynthConfig()
     return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> TrainConfig:
     """TrainConfig from an optional JSON file, then the --batch-size/--max-epochs/--step-size flags."""
-    overrides = json.loads(Path(path).read_text()) if path else {}
+    overrides = json.loads(_read_config(path, "train")) if path else {}
     if not isinstance(overrides, dict):
         raise InvalidConfigError(f"train config {path} is not a JSON object")
     unknown = sorted(overrides.keys() - {f.name for f in dataclasses.fields(TrainConfig)})

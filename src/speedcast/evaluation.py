@@ -36,24 +36,22 @@ class MetricsReport:
         return int(self.class_counts.sum())
 
 
-def predict(
-    params: ModelParams,
-    features: np.ndarray,
-    mask: np.ndarray,
-    batch_size: int = 128,
-) -> np.ndarray:
-    """Argmax class per clip, evaluated in batches.
+# A forward pass holds its cache until it returns, about 0.23 MB per clip for
+# `full` in float64, so batches of 128 hold about 30 MB. With batches of 1024,
+# the 120 MB cache of a 523-clip split went back to the system after each call
+# and was page-faulted in again by the next one; in a fresh process that cost
+# ~22k minor faults and +35% time per call.
+PREDICT_BATCH = 128  # clips per forward pass of `predict`
+INFERENCE_REPEATS = 3  # timed full-set runs of `measure_inference`
 
-    A forward pass holds its cache until it returns, about 0.23 MB per clip
-    for `full` in float64, so batches of 128 hold about 30 MB. With batches
-    of 1024, the 120 MB cache of a 523-clip split went back to the system
-    after each call and was page-faulted in again by the next one; in a fresh
-    process that cost ~22k minor faults and +35% time per call.
-    """
+
+def predict(params: ModelParams, features: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Argmax class per clip, evaluated in batches of PREDICT_BATCH."""
     preds = np.empty(features.shape[0], dtype=np.int64)
-    for lo in range(0, features.shape[0], batch_size):
-        probs, _, _ = model_forward(features[lo : lo + batch_size], mask[lo : lo + batch_size], params)
-        preds[lo : lo + batch_size] = probs.argmax(axis=1)
+    for lo in range(0, features.shape[0], PREDICT_BATCH):
+        hi = lo + PREDICT_BATCH
+        probs, _, _ = model_forward(features[lo:hi], mask[lo:hi], params)
+        preds[lo:hi] = probs.argmax(axis=1)
     return preds
 
 
@@ -81,19 +79,14 @@ def evaluate(
     return metrics_from_predictions(predict(params, features, mask), labels)
 
 
-def measure_inference(
-    params: ModelParams,
-    features: np.ndarray,
-    mask: np.ndarray,
-    repeats: int = 3,
-) -> dict[str, float]:
-    """Median wall-clock of full-set inference over `repeats` runs, warm-up excluded."""
+def measure_inference(params: ModelParams, features: np.ndarray, mask: np.ndarray) -> dict[str, float]:
+    """Median wall-clock of full-set inference over INFERENCE_REPEATS runs, warm-up excluded."""
     n = features.shape[0]
     if n == 0:
         return {"total_seconds": 0.0, "per_clip_us": 0.0}
     predict(params, features[: min(n, 32)], mask[: min(n, 32)])  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(INFERENCE_REPEATS):
         started = time.perf_counter()
         predict(params, features, mask)
         times.append(time.perf_counter() - started)

@@ -10,7 +10,7 @@ ReLU is the only nonlinearity, so a layer caches its output y and not the
 pre-activation: relu'(z) is 1 exactly where y > 0.
 
 `spatial_encode_forward` / `spatial_encode_backward` gather the real rows of a
-(B, T, n, f) batch into one flat ragged array, one segment per non-empty graph,
+(..., n, f) batch into one flat ragged array, one segment per non-empty graph,
 run the closed-form layers on it and max-pool each segment. The rows are stored
 rank-major (`Segments`): block r holds the r-th real node of every graph that
 has one, so each per-graph sum, mean, max and broadcast is a few contiguous
@@ -21,6 +21,7 @@ the test suite (`tests/oracles.py`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,28 +48,43 @@ class ChebLayerParams:
 
 @dataclass(frozen=True)
 class Segments:
-    """The real rows of a (..., n) mask as one flat ragged batch in rank-major order.
+    """Items grouped by graph, as one flat ragged batch in rank-major order.
 
-    Each graph with at least one real row is a segment; segments are ordered
-    by size, largest first (stable, so equal sizes keep graph order). Row
-    block r holds the r-th real node, in node order, of each segment with
-    more than r real rows, in segment order, so it covers a prefix of the
-    segments. A per-segment reduction is then one vectorised operation per
-    block, at most the largest graph's size of them, on contiguous rows: the
-    jagged-diagonal layout of sparse matrix-vector products (Saad, SIAM J.
-    Sci. Stat. Comput. 10(6), 1989).
+    The items are a mask's real rows (`from_mask`) or an index array's
+    positions, grouped by the index they hold (`from_groups`). Each graph with
+    at least one item is a segment; segments are ordered by size, largest
+    first (stable, so equal sizes keep graph order). Row block r holds the
+    r-th item, in item order, of each segment with more than r items, in
+    segment order, so it covers a prefix of the segments. A per-segment
+    reduction is then one vectorised operation per block, at most the largest
+    graph's size of them, on contiguous rows: the jagged-diagonal layout of
+    sparse matrix-vector products (Saad, SIAM J. Sci. Stat. Comput. 10(6), 1989).
     """
 
-    rows: np.ndarray  # (R,) each row's index in mask.reshape(-1)
+    rows: np.ndarray  # (R,) each row's item: its index in mask.reshape(-1), or in `group`
     graphs: np.ndarray  # (S,) flat graph index of each segment
-    sizes: np.ndarray  # (S,) real rows per segment, non-increasing, all >= 1
+    sizes: np.ndarray  # (S,) items per segment, non-increasing, all >= 1
     blocks: tuple[tuple[int, int], ...]  # (start, stop) rows of rank 0, 1, ...; at least one
-    n_graphs: int  # graphs in the mask, empty ones included
+    n_graphs: int  # graphs, empty ones included
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Segments":
-        n = mask.shape[-1]
-        counts = mask.reshape(-1, n).sum(axis=1)
+        """The real rows of `mask`, one graph per index of its leading axes."""
+        real = np.flatnonzero(mask.reshape(-1))  # C order: by graph, then node
+        return cls._from_sorted(real, real // mask.shape[-1], math.prod(mask.shape[:-1]))
+
+    @classmethod
+    def from_groups(cls, group: np.ndarray, n_graphs: int) -> "Segments":
+        """The positions of 1-d `group`, position i in graph `group[i]` of [0, n_graphs)."""
+        # numpy's stable sort is a radix sort on 16-bit or narrower integers,
+        # several times faster on a batch's indices than on int64 ones.
+        order = np.argsort(group.astype(np.min_scalar_type(n_graphs)), kind="stable")
+        return cls._from_sorted(order, group[order], n_graphs)
+
+    @classmethod
+    def _from_sorted(cls, items: np.ndarray, graph: np.ndarray, n_graphs: int) -> "Segments":
+        """Segments of `items`, whose graphs `graph` are non-decreasing, item order kept within a graph."""
+        counts = np.bincount(graph, minlength=n_graphs)
         graphs = np.argsort(-counts, kind="stable")
         sizes = counts[graphs]
         n_segments = np.count_nonzero(sizes)
@@ -77,15 +93,13 @@ class Segments:
         per_rank = np.cumsum(np.bincount(sizes, minlength=2)[:0:-1])[::-1]
         bounds = np.zeros(per_rank.size + 1, dtype=np.intp)
         np.cumsum(per_rank, out=bounds[1:])
-        real = np.flatnonzero(mask.reshape(-1))  # C order: by graph, then node
-        graph = real // n
-        rank = np.arange(real.size) - (np.cumsum(counts) - counts)[graph]  # within its graph
-        segment = np.empty(counts.size, dtype=np.intp)
+        rank = np.arange(items.size) - (np.cumsum(counts) - counts)[graph]  # within its graph
+        segment = np.empty(n_graphs, dtype=np.intp)
         segment[graphs] = np.arange(n_segments)
-        rows = np.empty_like(real)
-        rows[bounds[rank] + segment[graph]] = real
+        rows = np.empty_like(items)
+        rows[bounds[rank] + segment[graph]] = items
         blocks = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        return cls(rows, graphs, sizes, blocks, counts.size)
+        return cls(rows, graphs, sizes, blocks, n_graphs)
 
     def sum(self, h: np.ndarray) -> np.ndarray:
         """Per-segment sums, (S, f), added as block 0 + (block 1 + block 2 + ...)."""
@@ -109,6 +123,12 @@ class Segments:
         for lo, hi in self.blocks:
             h[lo:hi] += per_segment[: hi - lo]
         return h
+
+    def scatter(self, per_segment: np.ndarray) -> np.ndarray:
+        """(n_graphs, f): each segment's row of `per_segment` at its graph, zeros for empty graphs."""
+        out = np.zeros((self.n_graphs, per_segment.shape[-1]), dtype=per_segment.dtype)
+        out[self.graphs] = per_segment
+        return out
 
     def mean(self, h: np.ndarray) -> np.ndarray:
         return self.divide_by_sizes(self.sum(h))
@@ -199,7 +219,7 @@ def spatial_encode_forward(
 ) -> tuple[np.ndarray, dict]:
     """Chebyshev stack then max pool over each graph's real nodes, for one view.
 
-    x: (B, T, n, f); mask: (B, T, n) bool. Output H: (B, T, d_out). Only real
+    x: (..., n, f); mask: (..., n) bool. Output H: (..., d_out). Only real
     rows are computed; a frame with no real node pools to the zero vector.
     """
     segments = Segments.from_mask(mask)
@@ -209,8 +229,7 @@ def spatial_encode_forward(
         h, cache = cheb_layer_forward(h, segments, layer)
         caches.append(cache)
     maxima = segments.max(h)
-    pooled = np.zeros((segments.n_graphs, h.shape[-1]), dtype=h.dtype)
-    pooled[segments.graphs] = maxima
+    pooled = segments.scatter(maxima)
     cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "shape": x.shape}
     return pooled.reshape(mask.shape[:-1] + (h.shape[-1],)), cache
 

@@ -51,11 +51,14 @@ _CLIPSET_KEYS = {
 def read_archive(path: str | Path, kind: str) -> dict[str, np.ndarray]:
     """Every array of the `.npz` archive at `path`, by name.
 
-    A file of any other format, or an array that numpy reads only by unpickling
+    A file that cannot be opened raises InvalidConfigError naming `path`. A
+    file of any other format, or an array that numpy reads only by unpickling
     (an object array), raises InvalidRecordError naming it.
     """
     try:
         data = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot read {kind} archive {path}: {exc.strerror or exc}") from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InvalidRecordError(f"{path} is not a {kind} archive: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
@@ -525,11 +528,16 @@ def _read_jsonl(
 
     A line that is not a JSON object with a string `session`, a record that
     `parse` rejects, or a second record for the same session and frame index
-    raises InvalidRecordError naming `path:line`.
+    raises InvalidRecordError naming `path:line`; a file that cannot be opened
+    raises InvalidConfigError naming `path`.
     """
     sessions: dict[str, list[_Record]] = {}
     first_line: dict[tuple[str, int], int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot read {kind} log {path}: {exc.strerror or exc}") from exc
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

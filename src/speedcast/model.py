@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidRecordError, ShapeError
-from .graph import ChebLayerParams, spatial_encode_backward, spatial_encode_forward
+from .graph import ChebLayerParams, Segments, spatial_encode_backward, spatial_encode_forward
 from .ingest import read_archive
 from .types import NUM_ACTIONS, CategoryQuota
 
@@ -468,42 +468,6 @@ def _mlp_backward(dlogits: np.ndarray, cache: dict, p: MlpParams) -> tuple[np.nd
     return dv, g
 
 
-def _scatter_plan(windows: np.ndarray, n_frames: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(frames, steps) index pairs that sum clip steps into their frames, one pair per rank.
-
-    Pair r holds the r-th occurrence, in step order, of every frame that
-    `windows` names more than r times; no frame repeats within a pair, so each
-    pair is one fancy-indexed add. This is the rank-major layout of
-    `graph.Segments`, with a frame's occurrences in place of a graph's nodes.
-    """
-    flat = windows.ravel()
-    # numpy's stable sort is a radix sort on 16-bit or narrower integers,
-    # several times faster on a batch's indices than on int64 ones.
-    index = np.min_scalar_type(max(n_frames, flat.size))
-    order = np.argsort(flat.astype(index), kind="stable")  # steps by frame, in step order within a frame
-    frames = flat[order]
-    first = np.flatnonzero(np.concatenate([[True], frames[1:] != frames[:-1]]))
-    rank = np.arange(flat.size) - np.repeat(first, np.diff(np.append(first, flat.size)))
-    by_rank = np.argsort(rank.astype(index), kind="stable")
-    picks = np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
-    return [(frames[pick], order[pick]) for pick in picks]
-
-
-def _sum_into_frames(
-    d_steps: np.ndarray, plan: list[tuple[np.ndarray, np.ndarray]], n_frames: int
-) -> np.ndarray:
-    """(n_frames, d): each frame's row is the sum of its steps' rows of (S, d) `d_steps`.
-
-    A frame adds its steps in step order; a frame no step names gets zeros.
-    """
-    out = np.zeros((n_frames, d_steps.shape[-1]), dtype=d_steps.dtype)
-    (frames, steps), *rest = plan
-    out[frames] = d_steps[steps]
-    for frames, steps in rest:
-        out[frames] += d_steps[steps]
-    return out
-
-
 def model_forward(
     features: np.ndarray,
     mask: np.ndarray,
@@ -516,8 +480,8 @@ def model_forward(
     frames and step t of clip b is row `windows[b, t]`: each view's graph
     encoder runs once per frame, however many clips share it, and the pooled
     rows are gathered into the clips' steps. Without it, `features` (B, T, N, 4)
-    and `mask` (B, T, N) are the clips' steps themselves, the case
-    `windows = arange(B * T).reshape(B, T)`, with no gather.
+    and `mask` (B, T, N) are the clips' steps themselves, read as a table of
+    B * T frames with `windows = arange(B * T).reshape(B, T)`.
     """
     cfg = params.config
     n = cfg.quota.total
@@ -526,34 +490,31 @@ def model_forward(
         raise ShapeError(f"features {features.shape} do not match config (T={cfg.T}, N={n})")
     if mask.shape != features.shape[:-1] or mask.dtype != np.bool_:
         raise ShapeError(f"mask {mask.dtype} {mask.shape} must be bool {features.shape[:-1]}")
+    shape = features.shape
     if windows is None:
-        b = features.shape[0]
-    else:
-        if windows.ndim != 2 or windows.shape[1] != cfg.T or windows.dtype.kind not in "iu":
-            raise ShapeError(f"windows {windows.dtype} {windows.shape} must be (B, T={cfg.T}) integers")
-        if windows.size and not 0 <= windows.min() <= windows.max() < len(features):
-            raise ShapeError(f"windows hold frame indices outside [0, {len(features)})")
-        b = windows.shape[0]
+        windows = np.arange(shape[0] * cfg.T).reshape(shape[0], cfg.T)
+        features, mask = features.reshape(-1, n, 4), mask.reshape(-1, n)
+    elif windows.ndim != 2 or windows.shape[1] != cfg.T or windows.dtype.kind not in "iu":
+        raise ShapeError(f"windows {windows.dtype} {windows.shape} must be (B, T={cfg.T}) integers")
+    elif windows.size and not 0 <= windows.min() <= windows.max() < len(features):
+        raise ShapeError(f"windows hold frame indices outside [0, {len(features)})")
     parts = []
     view_caches = {}
     for view, block in cfg.views():
-        x = features[..., block, :]
-        m = mask[..., block]
-        pooled, sc = spatial_encode_forward(x, m, params.graph[view])
-        if windows is not None:
-            pooled = pooled[windows]
+        pooled, sc = spatial_encode_forward(features[:, block], mask[:, block], params.graph[view])
+        pooled = pooled[windows]
         vc = {"spatial": sc, "block": block}
         if cfg.temporal:
             final, lc = lstm_forward(pooled, params.lstm[view])
             vc["lstm"] = lc
             parts.append(final)
         else:
-            parts.append(pooled.reshape(b, -1))
+            parts.append(pooled.reshape(len(windows), -1))
         view_caches[view] = vc
     v = np.concatenate(parts, axis=1)
     logits, mlp_cache = _mlp_forward(v, params.classifier)
     probs = softmax(logits)
-    cache = {"views": view_caches, "mlp": mlp_cache, "batch": b, "windows": windows, "shape": features.shape}
+    cache = {"views": view_caches, "mlp": mlp_cache, "windows": windows, "n_frames": len(features), "shape": shape}
     return probs, logits, cache
 
 
@@ -565,27 +526,27 @@ def model_backward(
 ) -> tuple[dict[str, np.ndarray], Optional[np.ndarray]]:
     """Reverse mode from logit gradients to every parameter tensor.
 
-    On a frame table, each frame's pooled gradient is the sum over the clip
-    steps that read it, added in a fixed order. The input gradient, when asked
-    for, is shaped like the `features` of the forward pass.
+    Each frame's pooled gradient is the sum over the clip steps that read it,
+    added in `Segments.sum`'s order. The input gradient, when asked for, is
+    shaped like the `features` of the forward pass.
     """
     cfg = params.config
-    b, windows = cache["batch"], cache["windows"]
+    n_frames = cache["n_frames"]
     dv, mlp_grads = _mlp_backward(dlogits, cache["mlp"], params.classifier)
     grads = {f"classifier.{k}": v for k, v in mlp_grads.items()}
     dfeatures = np.zeros(cache["shape"], dtype=dv.dtype) if want_input_grad else None
-    plan = None if windows is None else _scatter_plan(windows, cache["shape"][0])  # shared by the views
+    frames = Segments.from_groups(cache["windows"].ravel(), n_frames)  # each frame's steps, shared by the views
     offset = 0
     for view, block in cfg.views():
         dpart = dv[:, offset : offset + cfg.view_dim]
         offset += cfg.view_dim
         vc = cache["views"][view]
         if cfg.temporal:
-            dpooled, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])
+            dsteps, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])
         else:
-            dpooled, lstm_grads = dpart.reshape(b, cfg.T, cfg.pooled_dim), []
-        if plan is not None:
-            dpooled = _sum_into_frames(dpooled.reshape(-1, cfg.pooled_dim), plan, cache["shape"][0])
+            dsteps, lstm_grads = dpart, []
+        dsteps = dsteps.reshape(-1, cfg.pooled_dim)
+        dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
         dx, graph_grads = spatial_encode_backward(
             dpooled, vc["spatial"], params.graph[view], want_input_grad
         )
@@ -594,7 +555,7 @@ def model_backward(
                 grads[f"{kind}.{view}.{i}.weights"] = dw
                 grads[f"{kind}.{view}.{i}.bias"] = dbias
         if dfeatures is not None:
-            dfeatures[..., vc["block"], :] += dx
+            dfeatures.reshape(n_frames, -1, 4)[:, vc["block"]] += dx
     return grads, dfeatures
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .ingest import ACCEL_THRESHOLD_PCT, BRAKE_THRESHOLD_KPA
 from .seeding import derive_seed
-from .types import Action, DetectedObject, FrameDetections, SensorSample
+from .types import Action, DetectedObject, FrameDetections, SensorSample, check_field_types
 
 IMAGE_W = 1280
 IMAGE_H = 720
@@ -79,6 +79,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.sessions <= 0 or self.frames_per_session <= 0 or self.fps <= 0:
             raise InvalidConfigError("sessions, frames_per_session and fps must be positive")
         if self.bbox_jitter_px < 0 or self.confidence_jitter < 0:
@@ -102,7 +103,7 @@ class SynthConfig:
         if not isinstance(d, dict):
             raise InvalidConfigError(f"synth config is not a JSON object: {payload.strip()[:80]!r}")
         for k in ("segment_frames", "background_cars"):
-            if k in d:
+            if isinstance(d.get(k), list):
                 d[k] = tuple(d[k])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:

@@ -16,14 +16,17 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericFaultError
 from .ingest import ClipDataset
-from .model import ModelParams, model_backward, model_forward, softmax
+from .model import ModelParams, model_backward, model_forward
+from .types import check_field_types
 
 COMPUTE_DTYPE = np.float32  # dtype of each training batch's forward and backward
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean of -log softmax(logits)[label] over the batch, computed in the log domain."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return float(-logp[np.arange(len(labels)), labels].mean())
 
 
 def batch_loss(
@@ -38,8 +41,7 @@ def batch_loss(
     The batch is a frame table with `windows` or expanded clips, as in `model_forward`.
     """
     _, logits, _ = model_forward(features, mask, params, windows)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    return _mean_cross_entropy(logits, labels)
 
 
 def loss_and_grads(
@@ -59,8 +61,7 @@ def loss_and_grads(
     if len(labels) == 0:
         raise InvalidConfigError("empty batch")
     probs, logits, cache = model_forward(features, mask, params, windows)
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(len(labels)), labels].mean())
+    loss = _mean_cross_entropy(logits, labels)
     dlogits = probs.copy()
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
@@ -91,6 +92,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.step_size <= 0:
             raise InvalidConfigError(f"step size must be positive, got {self.step_size}")
         if self.patience < 1:

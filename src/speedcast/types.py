@@ -1,11 +1,13 @@
 """Core value types shared across the pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Optional
 
-from .errors import InvalidRecordError
+import numpy as np
+
+from .errors import InvalidConfigError, InvalidRecordError
 
 # Raw detector labels grouped into the three graph views.
 CATEGORY_GROUPS: dict[str, tuple[str, ...]] = {
@@ -24,6 +26,32 @@ def super_category(category: str) -> str:
         return _SUPER_OF[category]
     except KeyError:
         raise InvalidRecordError(f"unknown object category: {category!r}") from None
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_field_types(config: object) -> None:
+    """Raise InvalidConfigError naming the first field of dataclass `config` not typed like its default.
+
+    An int field takes an integer that is not a bool, a float field a number
+    that is not a bool, a bool field only a bool, and a tuple field a tuple of
+    as many integers as its default holds.
+    """
+    for f in fields(config):
+        value, default = getattr(config, f.name), f.default
+        if isinstance(default, bool):
+            ok, kind = isinstance(value, bool), "a bool"
+        elif isinstance(default, int):
+            ok, kind = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok, kind = _is_int(value) or isinstance(value, (float, np.floating)), "a number"
+        else:
+            ok = isinstance(value, tuple) and len(value) == len(default) and all(map(_is_int, value))
+            kind = f"{len(default)} integers"
+        if not ok:
+            raise InvalidConfigError(f"{type(config).__name__} field {f.name} must be {kind}, got {value!r}")
 
 
 class Action(IntEnum):

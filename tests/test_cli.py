@@ -91,9 +91,47 @@ class TestPrepareCommand:
         assert rc == 3
         assert "s000" in capsys.readouterr().err
 
-    def test_missing_logs_dir_is_error(self, tmp_path):
+    def test_missing_logs_dir_is_error(self, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == 2
+        assert f"error: cannot read detection log {tmp_path / 'nope' / 'detections.jsonl'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["train", "--archive", "{missing}", "--out", "{out}"], "clipset archive"),
+        (["eval", "--archive", "{missing}", "--checkpoint", "{missing}"], "clipset archive"),
+        (["synth", "--config", "{missing}", "--out", "{out}"], "synth config"),
+        (["train", "--archive", "{missing}", "--config", "{missing}", "--out", "{out}"], "train config"),
+        (["pipeline", "--synth-config", "{missing}", "--out", "{out}"], "synth config"),
+    ],
+)
+def test_missing_input_file_is_config_error(tmp_path, capsys, args, kind):
+    missing = tmp_path / "nonexistent"
+    assert main([arg.format(missing=missing, out=tmp_path / "out") for arg in args]) == 2
+    assert f"error: cannot read {kind} {missing}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, name",
+    [
+        ("synth", '{"confound": "no"}', "confound"),
+        ("synth", '{"sessions": "3"}', "sessions"),
+        ("train", '{"batch_size": true}', "batch_size"),
+        ("train", '{"batch_size": 1.5}', "batch_size"),
+    ],
+)
+def test_ill_typed_config_field_is_config_error(tmp_path, capsys, command, payload, name):
+    config = tmp_path / "config.json"
+    config.write_text(payload)
+    args = {
+        "synth": ["synth", "--config", str(config)],
+        "train": ["train", "--archive", str(tmp_path / "clips.npz"), "--config", str(config)],
+    }[command]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert f"Config field {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

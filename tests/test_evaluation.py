@@ -57,7 +57,7 @@ class TestMetrics:
         preds = predict(params, feats, mask)
         assert m.accuracy == pytest.approx(100.0 * (preds == labels).mean())
 
-    def test_batched_predict_matches_single_batch(self, small_dataset, tiny_model_config):
+    def test_batched_predict_matches_single_batch(self, small_dataset, tiny_model_config, monkeypatch):
         import dataclasses
 
         cfg = dataclasses.replace(
@@ -65,10 +65,10 @@ class TestMetrics:
         )
         params = init_params(cfg, seed=0)
         feats, mask, _ = small_dataset.subset(small_dataset.test_idx[:10])
-        np.testing.assert_array_equal(
-            predict(params, feats, mask, batch_size=3),
-            predict(params, feats, mask, batch_size=100),
-        )
+        monkeypatch.setattr(evaluation, "PREDICT_BATCH", 3)
+        batched = predict(params, feats, mask)
+        monkeypatch.setattr(evaluation, "PREDICT_BATCH", 100)
+        np.testing.assert_array_equal(batched, predict(params, feats, mask))
 
 
 class TestInferenceTiming:
@@ -80,7 +80,7 @@ class TestInferenceTiming:
         )
         params = init_params(cfg, seed=0)
         feats, mask, _ = small_dataset.subset(small_dataset.test_idx[:8])
-        out = measure_inference(params, feats, mask, repeats=1)
+        out = measure_inference(params, feats, mask)
         assert out["per_clip_us"] > 0.0
 
     def test_empty_set_is_zero(self, tiny_model_config):

@@ -121,6 +121,25 @@ class TestFastPath:
         np.testing.assert_array_equal(seg.rows, [9, 0, 7, 10, 2, 11])  # rank 0, then 1, then 2
         assert seg.n_graphs == 4
 
+    def test_segments_from_groups(self):
+        # Graph 0 named three times, 1 never, 2 once, 3 twice, 4 three times; unsorted.
+        group = np.array([3, 0, 4, 0, 2, 4, 3, 0, 4])
+        seg = Segments.from_groups(group, 5)
+        np.testing.assert_array_equal(seg.graphs, [0, 4, 3, 2])  # largest first, ties in graph order
+        np.testing.assert_array_equal(seg.sizes, [3, 3, 2, 1])
+        assert seg.blocks == ((0, 4), (4, 7), (7, 9))
+        assert seg.n_graphs == 5
+        for s, graph in enumerate(seg.graphs):
+            # A segment's rows are its positions of `group`, in order, one per rank.
+            rows = [seg.rows[lo + s] for lo, hi in seg.blocks if lo + s < hi]
+            np.testing.assert_array_equal(rows, np.flatnonzero(group == graph))
+        h = np.random.default_rng(5).normal(size=(len(group), 3))
+        expected = np.zeros((5, 3))
+        np.add.at(expected, group, h)
+        summed = seg.scatter(seg.sum(h[seg.rows]))
+        assert not summed[1].any()
+        np.testing.assert_allclose(summed, expected, rtol=1e-12)
+
     def test_layer_matches_dense_reference(self):
         rng = np.random.default_rng(2)
         layer = random_layer(rng, 3, 4, 5)

@@ -1,4 +1,4 @@
-"""Static check: every public module-level function, class and constant of the library has a user."""
+"""Static check: every module-level function, class and constant of the library, public or private, has a user."""
 import ast
 from pathlib import Path
 
@@ -25,8 +25,8 @@ def names_used(path: Path) -> set[str]:
     return used
 
 
-def public_names(path: Path) -> list[str]:
-    """Public module-level functions, classes and assigned constants of `path`."""
+def module_names(path: Path) -> list[str]:
+    """Module-level functions, classes and assigned constants of `path`, public and private."""
     names = []
     for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -35,7 +35,7 @@ def public_names(path: Path) -> list[str]:
             names += [target.id for target in stmt.targets if isinstance(target, ast.Name)]
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             names.append(stmt.target.id)
-    return [name for name in names if not name.startswith("_")]
+    return names
 
 
 def test_every_public_library_name_is_used_in_src_or_perfbench():
@@ -44,7 +44,7 @@ def test_every_public_library_name_is_used_in_src_or_perfbench():
     unused = [
         f"{path.name}:{name}"
         for path in sorted((ROOT / "src" / "speedcast").glob("*.py"))
-        for name in public_names(path)
+        for name in module_names(path)
         if name not in used
     ]
     assert unused == [], unused

@@ -40,6 +40,27 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             SynthConfig(segment_frames=(2, 5))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("confound", "no"),  # a truthy string would turn confound mode on
+            ("confound", 1),
+            ("sessions", "3"),
+            ("sessions", True),
+            ("sessions", 2.0),
+            ("fps", "3"),
+            ("segment_frames", (3, 4, 5)),
+            ("segment_frames", (3, 4.5)),
+            ("background_cars", [2, 5]),
+        ],
+    )
+    def test_ill_typed_field_rejected(self, name, value):
+        with pytest.raises(InvalidConfigError, match=f"field {name} must be"):
+            SynthConfig(**{name: value})
+
+    def test_ints_are_numbers(self):
+        assert SynthConfig(fps=3, highway_fraction=1).fps == 3
+
 
 _bounds = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

@@ -210,6 +210,13 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize(
+        "name, value", [("batch_size", True), ("batch_size", 1.5), ("seed", "0"), ("step_size", "0.1"), ("beta1", False)]
+    )
+    def test_ill_typed_field_rejected(self, name, value):
+        with pytest.raises(InvalidConfigError, match=f"field {name} must be"):
+            TrainConfig(**{name: value})
+
 
 class TestTrainLoop:
     def test_loss_decreases_on_small_dataset(self, small_dataset):
