@@ -71,32 +71,42 @@ def _parse_quota(text: str) -> CategoryQuota:
     raise InvalidConfigError(f"--quota expects three positive counts car,ped,traffic, got {text!r}")
 
 
-def _read_config(path: str, kind: str) -> str:
-    """The text of config file `path`; one that cannot be read is a config error naming it."""
+def _read_config(path: str, kind: str, cls: type) -> dict:
+    """The fields that JSON config file `path` sets, as keyword arguments of dataclass `cls`.
+
+    A file that cannot be read, is not JSON, is not a JSON object or has a key
+    that is not a field of `cls` is a config error naming `path`. JSON lists
+    become tuples.
+    """
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InvalidConfigError(f"cannot read {kind} config {path}: {exc.strerror or exc}") from exc
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{kind} config {path} is not JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise InvalidConfigError(f"{kind} config {path} is not a JSON object: {text.strip()[:80]!r}")
+    unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidConfigError(f"unknown {kind} config fields in {path}: {unknown}")
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}
 
 
 def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
-    config = SynthConfig.from_json(_read_config(path, "synth")) if path else SynthConfig()
-    return config if seed is None else dataclasses.replace(config, seed=seed)
+    """SynthConfig from an optional JSON file, then the --seed flag."""
+    values = _read_config(path, "synth", SynthConfig) if path else {}
+    return SynthConfig(**(values if seed is None else values | {"seed": seed}))
 
 
 def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> TrainConfig:
-    """TrainConfig from an optional JSON file, then the --batch-size/--max-epochs/--step-size flags."""
-    overrides = json.loads(_read_config(path, "train")) if path else {}
-    if not isinstance(overrides, dict):
-        raise InvalidConfigError(f"train config {path} is not a JSON object")
-    unknown = sorted(overrides.keys() - {f.name for f in dataclasses.fields(TrainConfig)})
-    if unknown:
-        raise InvalidConfigError(f"unknown train config fields in {path}: {unknown}")
-    overrides.setdefault("seed", seed)
+    """TrainConfig from the derived `seed`, then an optional JSON file, then the training flags."""
+    values = {"seed": seed} | (_read_config(path, "train", TrainConfig) if path else {})
     for name in ("batch_size", "max_epochs", "step_size"):
         if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    return TrainConfig(**overrides)
+            values[name] = getattr(args, name)
+    return TrainConfig(**values)
 
 
 def run_synth(config: SynthConfig, out: Path) -> None:
@@ -105,7 +115,7 @@ def run_synth(config: SynthConfig, out: Path) -> None:
     _write_manifest(
         out,
         "synth",
-        json.loads(config.to_json()),
+        dataclasses.asdict(config),
         config.seed,
         {"detections": det_path, "sensors": sen_path},
     )
@@ -332,34 +342,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="speedcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", required=True)
+    run.add_argument("--seed", type=int, default=0)
+    clips = argparse.ArgumentParser(add_help=False)
+    clips.add_argument("--T", type=int, default=10)
+    clips.add_argument("--FT", type=int, default=1)
+    clips.add_argument("--source-fps", type=float, default=3.0, dest="source_fps")
+    clips.add_argument("--target-fps", type=float, default=3.0, dest="target_fps")
+    quota = argparse.ArgumentParser(add_help=False)
+    quota.add_argument("--quota", default="20,10,10", help="car,ped,traffic slot counts")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--variant", default="full")
+    model.add_argument("--K", type=int, default=1)
+    model.add_argument("--quiet", action="store_true")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+    training.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
+    training.add_argument("--step-size", type=float, default=None, dest="step_size")
+
     p = sub.add_parser("synth", help="generate synthetic detection and sensor logs")
     p.add_argument("--config", help="synth config JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("prepare", help="build a clip dataset archive from logs")
+    p = sub.add_parser("prepare", parents=[run, clips, quota], help="build a clip dataset archive from logs")
     p.add_argument("--logs", required=True, help="directory with detections.jsonl and sensors.jsonl")
-    p.add_argument("--out", required=True)
-    p.add_argument("--T", type=int, default=10)
-    p.add_argument("--FT", type=int, default=1)
-    p.add_argument("--quota", default="20,10,10", help="car,ped,traffic slot counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--source-fps", type=float, default=3.0, dest="source_fps")
-    p.add_argument("--target-fps", type=float, default=3.0, dest="target_fps")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train a variant on a clip archive")
+    p = sub.add_parser("train", parents=[run, model, training], help="train a variant on a clip archive")
     p.add_argument("--archive", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--variant", default="full")
-    p.add_argument("--K", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="train config JSON file")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p.add_argument("--step-size", type=float, default=None, dest="step_size")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on an archive split")
@@ -368,19 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run a sweep of variants and settings")
+    p = sub.add_parser("ablate", parents=[run, quota, training], help="run a sweep of variants and settings")
     p.add_argument("--logs", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--T", type=int, nargs="+", default=[10])
     p.add_argument("--FT", type=int, nargs="+", default=[1])
     p.add_argument("--K", type=int, nargs="+", default=[1])
     p.add_argument("--variant", nargs="+", default=["base", "base_single", "base_multi", "base_t", "full"])
-    p.add_argument("--quota", default="20,10,10")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="train config JSON file")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p.add_argument("--step-size", type=float, default=None, dest="step_size")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
@@ -388,22 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("pipeline", help="synth + prepare + train + eval in one run")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser(
+        "pipeline", parents=[run, clips, quota, model, training], help="synth + prepare + train + eval in one run"
+    )
     p.add_argument("--synth-config", default=None, dest="synth_config")
     p.add_argument("--train-config", default=None, dest="train_config")
-    p.add_argument("--T", type=int, default=10)
-    p.add_argument("--FT", type=int, default=1)
-    p.add_argument("--K", type=int, default=1)
-    p.add_argument("--quota", default="20,10,10")
-    p.add_argument("--variant", default="full")
-    p.add_argument("--source-fps", type=float, default=3.0, dest="source_fps")
-    p.add_argument("--target-fps", type=float, default=3.0, dest="target_fps")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p.add_argument("--step-size", type=float, default=None, dest="step_size")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -417,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpeedcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidRecordError, ShapeError
 from .graph import ChebLayerParams, Segments, spatial_encode_backward, spatial_encode_forward
 from .ingest import read_archive
-from .types import NUM_ACTIONS, CategoryQuota
+from .types import NUM_ACTIONS, CategoryQuota, check_field_types
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
 
@@ -55,10 +55,8 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         sizes = (*self.graph_widths, *self.mlp_widths, self.lstm_hidden, self.lstm_layers)
-        dims = (self.T, self.FT, self.K, *sizes)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in dims):
-            raise InvalidConfigError(f"dims and sizes must be integers: {self}")
         if self.T < 1 or self.FT < 1 or self.K < 0:
             raise InvalidConfigError(f"bad dims T={self.T} FT={self.FT} K={self.K}")
         if not self.graph_widths or len(self.mlp_widths) != 2 or min(sizes) < 1:
@@ -92,20 +90,9 @@ class ModelConfig:
         return len(self.views()) * self.view_dim
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": self.T,
-                "FT": self.FT,
-                "K": self.K,
-                "quota": [self.quota.n_car, self.quota.n_pedestrian, self.quota.n_traffic],
-                "graph_widths": list(self.graph_widths),
-                "lstm_hidden": self.lstm_hidden,
-                "lstm_layers": self.lstm_layers,
-                "mlp_widths": list(self.mlp_widths),
-                "variant": self.variant,
-                "activation": "relu",  # kept so checkpoints keep their bytes and format
-            }
-        )
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        # "activation" is kept so checkpoints keep their bytes and format.
+        return json.dumps(d | {"quota": list(astuple(self.quota)), "activation": "relu"})
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
@@ -120,27 +107,19 @@ class ModelConfig:
             raise InvalidRecordError(f"model config is not JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise InvalidRecordError(f"model config is not a JSON object: {payload[:80]!r}")
-        names = [f.name for f in fields(cls)] + ["activation"]
-        missing = [name for name in names if name not in d]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names + ["activation"] if name not in d]
         if missing:
             raise InvalidRecordError(f"model config lacks {missing}")
         if d["activation"] != "relu":
             raise InvalidRecordError(f"model config activation {d['activation']!r} is not 'relu'")
+        values = {name: tuple(d[name]) if isinstance(d[name], list) else d[name] for name in names}
+        quota = values.pop("quota")
+        if not isinstance(quota, tuple) or len(quota) != 3:
+            raise InvalidRecordError(f"model config has a field of the wrong type: quota {d['quota']!r}")
         try:
-            return cls(
-                T=d["T"],
-                FT=d["FT"],
-                K=d["K"],
-                quota=CategoryQuota(*d["quota"]),
-                graph_widths=tuple(d["graph_widths"]),
-                lstm_hidden=d["lstm_hidden"],
-                lstm_layers=d["lstm_layers"],
-                mlp_widths=tuple(d["mlp_widths"]),
-                variant=d["variant"],
-            )
-        except (TypeError, AttributeError) as exc:
-            raise InvalidRecordError(f"model config has a field of the wrong type: {exc}") from exc
-        except InvalidConfigError as exc:
+            return cls(quota=CategoryQuota(*quota), **values)
+        except (InvalidConfigError, InvalidRecordError) as exc:
             raise InvalidRecordError(f"model config is invalid: {exc}") from exc
 
 

@@ -80,35 +80,26 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        for name in ("segment_frames", "background_cars"):
+            if len(getattr(self, name)) != 2:
+                raise InvalidConfigError(f"SynthConfig field {name} must be 2 integers, got {getattr(self, name)!r}")
         if self.sessions <= 0 or self.frames_per_session <= 0 or self.fps <= 0:
             raise InvalidConfigError("sessions, frames_per_session and fps must be positive")
         if self.bbox_jitter_px < 0 or self.confidence_jitter < 0:
             raise InvalidConfigError("noise levels must be non-negative")
         if self.reaction_delay < 1:
             raise InvalidConfigError("reaction_delay must be >= 1")
+        if self.initial_stop_frames < 0:
+            raise InvalidConfigError(f"initial_stop_frames must be >= 0, got {self.initial_stop_frames}")
+        for name in ("highway_fraction", "turn_segment_prob", "pedestrian_rate", "light_prob", "flag_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise InvalidConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         lo, hi = self.segment_frames
         if lo < 3 or hi < lo:
             raise InvalidConfigError(f"segment_frames must satisfy 3 <= lo <= hi, got {self.segment_frames}")
-
-    def to_json(self) -> str:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return json.dumps(d, indent=2)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "SynthConfig":
-        d = json.loads(payload)
-        if not isinstance(d, dict):
-            raise InvalidConfigError(f"synth config is not a JSON object: {payload.strip()[:80]!r}")
-        for k in ("segment_frames", "background_cars"):
-            if isinstance(d.get(k), list):
-                d[k] = tuple(d[k])
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidConfigError(f"unknown synth config fields: {sorted(unknown)}")
-        return cls(**d)
+        lo, hi = self.background_cars
+        if lo < 0 or hi < lo:
+            raise InvalidConfigError(f"background_cars must satisfy 0 <= lo <= hi, got {self.background_cars}")
 
 
 @dataclass

@@ -99,6 +99,13 @@ class TrainConfig:
             raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise InvalidConfigError("batch_size and max_epochs must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.epsilon <= 0:
+            raise InvalidConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.min_delta < 0:
+            raise InvalidConfigError(f"min_delta must be >= 0, got {self.min_delta}")
 
 
 @dataclass

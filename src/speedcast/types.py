@@ -1,7 +1,8 @@
 """Core value types shared across the pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -35,21 +36,25 @@ def _is_int(value: object) -> bool:
 def check_field_types(config: object) -> None:
     """Raise InvalidConfigError naming the first field of dataclass `config` not typed like its default.
 
-    An int field takes an integer that is not a bool, a float field a number
-    that is not a bool, a bool field only a bool, and a tuple field a tuple of
-    as many integers as its default holds.
+    A bool field takes only a bool, an int field an integer that is not a
+    bool, a float field a finite number that is not a bool, a str field a
+    str, a tuple field a tuple of integers, and a field whose default is a
+    dataclass an instance of that class. Lengths and ranges are each class's own.
     """
     for f in fields(config):
-        value, default = getattr(config, f.name), f.default
+        value = getattr(config, f.name)
+        default = f.default_factory() if f.default is MISSING else f.default
         if isinstance(default, bool):
             ok, kind = isinstance(value, bool), "a bool"
         elif isinstance(default, int):
             ok, kind = _is_int(value), "an integer"
         elif isinstance(default, float):
-            ok, kind = _is_int(value) or isinstance(value, (float, np.floating)), "a number"
+            ok = _is_int(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
+            kind = "a finite number"
+        elif isinstance(default, tuple):
+            ok, kind = isinstance(value, tuple) and all(map(_is_int, value)), "a tuple of integers"
         else:
-            ok = isinstance(value, tuple) and len(value) == len(default) and all(map(_is_int, value))
-            kind = f"{len(default)} integers"
+            ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
         if not ok:
             raise InvalidConfigError(f"{type(config).__name__} field {f.name} must be {kind}, got {value!r}")
 
@@ -135,6 +140,7 @@ class CategoryQuota:
     n_traffic: int = 10
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if min(self.n_car, self.n_pedestrian, self.n_traffic) <= 0:
             raise InvalidRecordError(f"quota counts must be positive: {self}")
 

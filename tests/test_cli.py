@@ -58,7 +58,7 @@ class TestSynthCommand:
         cfg = tmp_path / "synth.json"
         cfg.write_text(payload)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert f"error: synth config is not a JSON object: {payload!r}" in capsys.readouterr().err
+        assert f"error: synth config {cfg} is not a JSON object: {payload!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -134,6 +134,43 @@ def test_ill_typed_config_field_is_config_error(tmp_path, capsys, command, paylo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, payload, named",
+    [
+        ("train", '{"beta1": 1.0}', "beta1 must be in [0, 1), got 1.0"),
+        ("synth", '{"background_cars": [5, 2]}', "background_cars must satisfy 0 <= lo <= hi, got (5, 2)"),
+        ("synth", '{"highway_fraction": 2.0}', "highway_fraction must be in [0, 1], got 2.0"),
+    ],
+)
+def test_out_of_range_config_field_is_config_error(tmp_path, capsys, command, payload, named):
+    config = tmp_path / "config.json"
+    config.write_text(payload)
+    args = {
+        "synth": ["synth", "--config", str(config)],
+        "train": ["train", "--archive", str(tmp_path / "clips.npz"), "--config", str(config)],
+    }[command]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["synth", "--config", "{config}"], "synth config"),
+        (["train", "--archive", "{config}", "--config", "{config}"], "train config"),
+        (["pipeline", "--train-config", "{config}"], "train config"),
+        (["pipeline", "--synth-config", "{config}"], "synth config"),
+    ],
+)
+def test_config_file_not_json_is_config_error(tmp_path, capsys, args, kind):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1,\n')
+    assert main([arg.format(config=config) for arg in args] + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {kind} {config} is not JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def trained(logs_dir, tmp_path_factory):
     """An archive under data/ and a 2-epoch `base` model trained on it under model/."""
@@ -179,6 +216,15 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert "unknown train config fields in" in err and "['bogus']" in err
         assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_with_fractional_quota_is_data_error(self, trained, tmp_path, capsys):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["config"] = np.array(json.dumps(json.loads(str(arrays["config"])) | {"quota": [3.5, 2, 1]}))
+        np.savez(tmp_path / "checkpoint.npz", **arrays)
+        archive = trained / "data" / "clips.npz"
+        assert main(["eval", "--archive", str(archive), "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 3
+        assert "CategoryQuota field n_car must be an integer, got 3.5" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_numeric_fault_is_located_in_train_report(self, trained, tmp_path):

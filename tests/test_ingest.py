@@ -234,7 +234,8 @@ class TestOversample:
 
     def test_originals_are_kept(self):
         labels = np.array([0, 0, 1])
-        out = oversample(labels, seed=0)
+        with pytest.warns(UserWarning, match="no training samples"):
+            out = oversample(labels, seed=0)
         np.testing.assert_array_equal(out[: len(labels)], np.arange(len(labels)))
         assert np.all(labels[out[len(labels) :]] == 1)
 

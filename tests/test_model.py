@@ -88,7 +88,8 @@ class TestConfigWiring:
             with pytest.raises(InvalidConfigError, match="bad sizes"):
                 ModelConfig(**bad)
         for bad in ({"lstm_hidden": 8.5}, {"K": 1.0}, {"graph_widths": (16, True)}, {"T": "3"}):
-            with pytest.raises(InvalidConfigError, match="integers"):
+            (name,) = bad
+            with pytest.raises(InvalidConfigError, match=f"field {name} must be"):
                 ModelConfig(**bad)
         assert ModelConfig(T=np.int64(3), mlp_widths=(np.int32(8), 8)).T == 3
 
@@ -465,6 +466,9 @@ class TestCheckpoint:
             (lambda d: d.update({"config": edit_config(d["config"], T=0)}), "invalid"),
             (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=0)}), "invalid"),
             (lambda d: d.update({"config": edit_config(d["config"], lstm_hidden=8.5)}), "invalid"),
+            (lambda d: d.update({"config": edit_config(d["config"], quota=[3.5, 2, 1])}), "CategoryQuota field n_car"),
+            (lambda d: d.update({"config": edit_config(d["config"], quota=[True, 2, 1])}), "CategoryQuota field n_car"),
+            (lambda d: d.update({"config": edit_config(d["config"], quota=[3, 2])}), r"quota \[3, 2\]"),
             # ReLU is the model's only nonlinearity: a config naming none or another is foreign.
             (lambda d: d.update({"config": drop_config_field(d["config"], "activation")}), r"lacks \['activation'\]"),
             (lambda d: d.update({"config": edit_config(d["config"], activation="identity")}), "'identity' is not 'relu'"),
@@ -477,6 +481,7 @@ class TestCheckpoint:
         ids=[
             "missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
+            "config-quota-float", "config-quota-bool", "config-quota-length",
             "config-activation-missing", "config-activation-identity", "config-activation-null",
             "object-tensor",
         ],

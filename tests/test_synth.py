@@ -1,4 +1,6 @@
 """Synthetic scene generator: determinism, labeling rule, log round-trip."""
+import dataclasses
+import json
 import math
 import struct
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from speedcast.cli import _synth_config
 from speedcast.errors import InvalidConfigError
 from speedcast.ingest import derive_label, read_detection_log, read_sensor_log
 from speedcast.synth import (
@@ -24,13 +27,17 @@ SMALL = SynthConfig(sessions=4, frames_per_session=50, seed=3)
 
 
 class TestConfig:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         cfg = SynthConfig(sessions=2, confound=True, bbox_jitter_px=1.5, seed=9)
-        assert SynthConfig.from_json(cfg.to_json()) == cfg
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert _synth_config(str(path), None) == cfg
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            SynthConfig.from_json('{"sessions": 2, "bogus": 1}')
+    def test_unknown_field_rejected(self, tmp_path):
+        path = tmp_path / "synth.json"
+        path.write_text('{"sessions": 2, "bogus": 1}')
+        with pytest.raises(InvalidConfigError, match=r"unknown synth config fields in .*\['bogus'\]"):
+            _synth_config(str(path), None)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -60,6 +67,28 @@ class TestConfig:
 
     def test_ints_are_numbers(self):
         assert SynthConfig(fps=3, highway_fraction=1).fps == 3
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("segment_frames", (4,)),
+            ("background_cars", (2, 3, 4)),
+            ("background_cars", (5, 2)),
+            ("background_cars", (-1, 2)),
+            ("highway_fraction", 2.0),
+            ("turn_segment_prob", -0.1),
+            ("pedestrian_rate", 1.5),
+            ("light_prob", -1),
+            ("flag_prob", 1.01),
+            ("initial_stop_frames", -3),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(InvalidConfigError, match=name):
+            SynthConfig(**{name: value})
+
+    def test_range_bounds_accepted(self):
+        SynthConfig(background_cars=(0, 0), initial_stop_frames=0, highway_fraction=0, flag_prob=1.0)
 
 
 _bounds = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -217,6 +217,17 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError, match=f"field {name} must be"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("epsilon", 0.0), ("epsilon", -1e-8), ("min_delta", -1e-6)],
+    )
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(InvalidConfigError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_range_bounds_accepted(self):
+        TrainConfig(beta1=0, beta2=0.0, min_delta=0)
+
 
 class TestTrainLoop:
     def test_loss_decreases_on_small_dataset(self, small_dataset):
@@ -286,6 +297,7 @@ class TestTrainLoop:
             layout = [{k: (f[k].dtype, f[k].shape) for k in f.files} for f in (before, after)]
         assert layout[0] == layout[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite weight is the point
     def test_numeric_fault_aborts_cleanly(self, small_dataset):
         cfg = ModelConfig(
             T=small_dataset.T, FT=small_dataset.FT, K=1, quota=small_dataset.quota,

@@ -1,6 +1,12 @@
+import math
+from dataclasses import MISSING, fields
+
 import pytest
 
-from speedcast.errors import InvalidRecordError
+from speedcast.errors import InvalidConfigError, InvalidRecordError
+from speedcast.model import ModelConfig
+from speedcast.synth import SynthConfig
+from speedcast.train import TrainConfig
 from speedcast.types import (
     ACTION_NAMES,
     NUM_ACTIONS,
@@ -81,3 +87,21 @@ def test_sensor_sample_validation():
         SensorSample(0, 0.0, 120.0, 0.0, "highway").validate()
     with pytest.raises(InvalidRecordError):
         SensorSample(0, 0.0, 0.0, 0.0, "rural").validate()
+
+
+def _ill_typed_fields():
+    """A wrong-typed value for every field of every config dataclass; NaN and inf too for float fields."""
+    for cls in (CategoryQuota, ModelConfig, SynthConfig, TrainConfig):
+        for f in fields(cls):
+            default = f.default_factory() if f.default is MISSING else f.default
+            values = [None, 1 if isinstance(default, str) else "1"]
+            if isinstance(default, float):
+                values += [math.nan, math.inf, -math.inf]
+            for value in values:
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", _ill_typed_fields())
+def test_every_config_field_is_type_checked(cls, name, value):
+    with pytest.raises(InvalidConfigError, match=f"{cls.__name__} field {name} must be"):
+        cls(**{name: value})
