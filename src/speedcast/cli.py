@@ -15,7 +15,6 @@ from .errors import InvalidConfigError, InvalidRecordError, SpeedcastError
 from .evaluation import (
     SweepSpec,
     evaluate,
-    measure_inference,
     run_ablation,
     write_loss_curves,
     write_results_table,
@@ -200,7 +199,7 @@ def run_train(
     _write_manifest(
         out,
         "train",
-        {"variant": config.variant, "K": K, "train": vars(train_config)},
+        {"variant": config.variant, "K": K, "train": dataclasses.asdict(train_config)},
         seed,
         {"checkpoint": ckpt, "report": report_path, "metrics": metrics_path},
     )
@@ -217,11 +216,10 @@ def run_eval(archive: Path, checkpoint: Path, split: str) -> None:
     idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}[split]
     feats, mask, labels = dataset.subset(idx)
     metrics = evaluate(params, feats, mask, labels)
-    timing = measure_inference(params, feats, mask)
     for name, recall in zip(ACTION_NAMES, metrics.recalls):
         print(f"recall {name}: " + ("undefined" if recall is None else f"{recall:.2f}"))
     print(f"accuracy: {metrics.accuracy:.2f}")
-    print(f"inference: {timing['per_clip_us']:.1f} us/clip over {len(labels)} clips")
+    print(f"inference: {metrics.per_clip_us:.1f} us/clip over {len(labels)} clips")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -268,7 +266,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "ablate",
-        {"T": args.T, "FT": args.FT, "K": args.K, "variants": args.variant},
+        {"sweep": dataclasses.asdict(sweep), "train": dataclasses.asdict(train_config)},
         args.seed,
         {"results": table, "loss_curves": curves},
     )

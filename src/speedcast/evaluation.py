@@ -1,8 +1,9 @@
-"""Metrics, ablation sweeps, and inference-time measurement."""
+"""Metrics with inference time, and ablation sweeps."""
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ class MetricsReport:
     recalls: list[Optional[float]]  # percent; None when a class is absent
     accuracy: float  # percent
     class_counts: np.ndarray  # (4,) true-class totals
+    per_clip_us: float = float("nan")  # set by `evaluate`: median predict pass time per clip
 
     @property
     def total(self) -> int:
@@ -42,7 +44,7 @@ class MetricsReport:
 # and was page-faulted in again by the next one; in a fresh process that cost
 # ~22k minor faults and +35% time per call.
 PREDICT_BATCH = 128  # clips per forward pass of `predict`
-INFERENCE_REPEATS = 3  # timed full-set runs of `measure_inference`
+INFERENCE_REPEATS = 3  # timed full-set `predict` passes per `evaluate`
 
 
 def predict(params: ModelParams, features: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -75,23 +77,21 @@ def metrics_from_predictions(preds: np.ndarray, labels: np.ndarray) -> MetricsRe
 def evaluate(
     params: ModelParams, features: np.ndarray, mask: np.ndarray, labels: np.ndarray
 ) -> MetricsReport:
-    """Confusion matrix, per-class recall and overall accuracy on a test set."""
-    return metrics_from_predictions(predict(params, features, mask), labels)
+    """Confusion matrix, per-class recall and overall accuracy on a test set, with inference time.
 
-
-def measure_inference(params: ModelParams, features: np.ndarray, mask: np.ndarray) -> dict[str, float]:
-    """Median wall-clock of full-set inference over INFERENCE_REPEATS runs, warm-up excluded."""
-    n = features.shape[0]
-    if n == 0:
-        return {"total_seconds": 0.0, "per_clip_us": 0.0}
-    predict(params, features[: min(n, 32)], mask[: min(n, 32)])  # warm-up
+    Runs INFERENCE_REPEATS timed full-set `predict` passes and scores their
+    predictions; `per_clip_us` is the median pass time over the clip count.
+    """
+    if len(labels) == 0:
+        raise InvalidConfigError("cannot evaluate on an empty set")
     times = []
     for _ in range(INFERENCE_REPEATS):
         started = time.perf_counter()
-        predict(params, features, mask)
+        preds = predict(params, features, mask)
         times.append(time.perf_counter() - started)
-    total = float(np.median(times))
-    return {"total_seconds": total, "per_clip_us": 1e6 * total / n}
+    metrics = metrics_from_predictions(preds, labels)
+    metrics.per_clip_us = 1e6 * float(np.median(times)) / len(labels)
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +114,8 @@ class SweepSpec:
                 raise InvalidConfigError(f"sweep set {name} must be non-empty")
 
     def cells(self):
-        for variant in self.variants:
-            for t in self.T_set:
-                for ft in self.FT_set:
-                    for k in self.K_set:
-                        for quota in self.quotas:
-                            for seed in self.seeds:
-                                yield (variant, t, ft, k, quota, seed)
+        """(variant, T, FT, K, quota, seed) tuples, the last varying fastest."""
+        return itertools.product(self.variants, self.T_set, self.FT_set, self.K_set, self.quotas, self.seeds)
 
 
 @dataclass
@@ -133,33 +128,16 @@ class CellResult:
     seed: int
     metrics: Optional[MetricsReport] = None
     report: Optional[TrainReport] = None
-    infer_us_per_clip: float = float("nan")
     error: Optional[str] = None
 
     def csv_row(self) -> str:
         def rec(x: Optional[float]) -> str:
             return "" if x is None else f"{x:.2f}"
 
-        if self.metrics is None:
-            cols = [""] * 4 + ["", ""]
-        else:
-            cols = [rec(r) for r in self.metrics.recalls] + [
-                f"{self.metrics.accuracy:.2f}",
-                f"{self.infer_us_per_clip:.1f}",
-            ]
-        return ",".join(
-            [
-                self.variant,
-                str(self.T),
-                str(self.FT),
-                str(self.K),
-                str(self.quota.n_car),
-                str(self.quota.n_pedestrian),
-                str(self.quota.n_traffic),
-                str(self.seed),
-                *cols,
-            ]
-        )
+        m, q = self.metrics, self.quota
+        cols = [""] * 6 if m is None else [*map(rec, m.recalls), f"{m.accuracy:.2f}", f"{m.per_clip_us:.1f}"]
+        head = [self.variant, self.T, self.FT, self.K, q.n_car, q.n_pedestrian, q.n_traffic, self.seed]
+        return ",".join([*map(str, head), *cols])
 
 
 def run_ablation(
@@ -194,7 +172,6 @@ def run_ablation(
             best, report = train(dataset, params, dataclasses.replace(train_config, seed=cell_seed))
             feats, mask, labels = dataset.subset(dataset.test_idx)
             cell.metrics = evaluate(best, feats, mask, labels)
-            cell.infer_us_per_clip = measure_inference(best, feats, mask)["per_clip_us"]
             cell.report = report
         except SpeedcastError as exc:
             cell.error = f"{type(exc).__name__}: {exc}"
@@ -212,7 +189,7 @@ def write_results_table(results: Sequence[CellResult], path: str | Path) -> None
 def write_loss_curves(results: Sequence[CellResult], path: str | Path) -> None:
     """Per-epoch loss series per cell, for external plotting."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["variant", "T", "FT", "K", "seed", "epoch", "train_loss", "val_loss"])
         for cell in results:
             if cell.report is None:

@@ -394,9 +394,8 @@ class ClipDataset:
         for key, (shape, kinds) in expected.items():
             arr = getattr(self, key)
             if arr.shape != shape or arr.dtype.kind not in kinds:
-                raise InvalidRecordError(
-                    f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {shape}"
-                )
+                kind = {"f": "floats", "b": "bools", "iu": "integers", "U": "strings"}[kinds]
+                raise InvalidRecordError(f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {kind} {shape}")
         if self.windows.size and not 0 <= self.windows.min() <= self.windows.max() < f:
             raise InvalidRecordError(f"clipset windows hold frame indices outside [0, {f})")
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < NUM_ACTIONS:

@@ -590,7 +590,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
         raise InvalidRecordError(f"unexpected checkpoint schema {schema!r}")
     config = ModelConfig.from_json(str(tensors.pop("config")))
-    params = _build_params(config, int(tensors.pop("seed")), lambda shape, *_: np.empty(shape))
+    seed = tensors.pop("seed")
+    if seed.shape != () or seed.dtype.kind not in "iu":
+        raise InvalidRecordError(f"checkpoint seed: stored {seed.dtype} {seed.shape}, expected one integer")
+    params = _build_params(config, int(seed), lambda shape, *_: np.empty(shape))
     if schema == _CHECKPOINT_SCHEMA_V1:
         _stack_v1_gates(tensors, params)
     params.load_arrays(tensors)

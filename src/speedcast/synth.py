@@ -190,12 +190,8 @@ class SynthResult:
 
 
 def _generate_session(
-    name: str, scenario: str, config: SynthConfig, seed: int
-) -> tuple[
-    list[FrameDetections],
-    list[SensorSample],
-    dict[int, Optional[Action]],
-]:
+    scenario: str, config: SynthConfig, seed: int
+) -> tuple[list[FrameDetections], list[SensorSample], dict[int, Optional[Action]]]:
     rng = np.random.default_rng(seed)
     n = config.frames_per_session
     lo, hi = config.segment_frames
@@ -342,7 +338,7 @@ def generate(config: SynthConfig) -> SynthResult:
         scenario = "highway" if i < n_highway else "urban"
         name = f"s{i:03d}"
         frames, sensors, session_actions = _generate_session(
-            name, scenario, config, derive_seed(config.seed, "session", i)
+            scenario, config, derive_seed(config.seed, "session", i)
         )
         sessions[name] = (frames, sensors)
         for t, action in session_actions.items():

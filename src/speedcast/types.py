@@ -33,6 +33,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _plain(value: object) -> object:
+    """`value` with each numpy scalar, also inside a tuple, replaced by the Python number it holds."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_field_types(config: object) -> None:
     """Raise InvalidConfigError naming the first field of dataclass `config` not typed like its default.
 
@@ -40,6 +47,7 @@ def check_field_types(config: object) -> None:
     bool, a float field a finite number that is not a bool, a str field a
     str, a tuple field a tuple of integers, and a field whose default is a
     dataclass an instance of that class. Lengths and ranges are each class's own.
+    Numpy scalars are accepted and stored as Python numbers, so configs serialize as JSON.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -57,6 +65,7 @@ def check_field_types(config: object) -> None:
             ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
         if not ok:
             raise InvalidConfigError(f"{type(config).__name__} field {f.name} must be {kind}, got {value!r}")
+        object.__setattr__(config, f.name, _plain(value))
 
 
 class Action(IntEnum):

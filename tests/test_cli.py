@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speedcast import cli, evaluation
 from speedcast import train as train_module
 from speedcast.cli import main
 from speedcast.ingest import ClipDataset
@@ -265,6 +266,24 @@ class TestTrainEvalCommands:
         assert "accuracy:" in out
         assert "us/clip" in out
 
+    def test_eval_scores_and_times_with_one_evaluate(self, trained, monkeypatch, capsys):
+        """The printed metrics and time come from one `evaluate`, whose predict passes are the only ones."""
+        reports, passes = [], []
+        real_evaluate, real_predict = evaluation.evaluate, evaluation.predict
+
+        def evaluate_spy(*args):
+            reports.append(real_evaluate(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "evaluate", evaluate_spy)
+        monkeypatch.setattr(evaluation, "predict", lambda *args: passes.append(1) or real_predict(*args))
+        archive, checkpoint = trained / "data" / "clips.npz", trained / "model" / "checkpoint.npz"
+        assert main(["eval", "--archive", str(archive), "--checkpoint", str(checkpoint)]) == 0
+        assert len(reports) == 1 and len(passes) == evaluation.INFERENCE_REPEATS
+        out = capsys.readouterr().out
+        assert f"accuracy: {reports[0].accuracy:.2f}" in out
+        assert f"inference: {reports[0].per_clip_us:.1f} us/clip" in out
+
     def test_eval_checkpoint_missing_tensor_is_record_error(self, trained, tmp_path, capsys):
         with np.load(trained / "model" / "checkpoint.npz") as data:
             payload = {k: data[k] for k in data.files if k != "classifier.b1"}
@@ -334,20 +353,45 @@ class TestGradcheckCommand:
         assert "lstm.car.0.bias: 5.000e-01  5.000e-01" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def ablated(logs_dir, tmp_path_factory):
+    """A 1-epoch sweep of two variants, with a train config file that sets patience."""
+    out = tmp_path_factory.mktemp("ablated")
+    config = out / "train.json"
+    config.write_text('{"patience": 7}')
+    rc = main(
+        [
+            "ablate", "--logs", str(logs_dir), "--out", str(out),
+            "--T", "4", "--variant", "base", "base_single",
+            "--quota", "3,2,1", "--max-epochs", "1", "--batch-size", "128",
+            "--seed", "0", "--config", str(config),
+        ]
+    )
+    assert rc == 0
+    return out
+
+
+def test_tables_use_lf_line_endings(trained, ablated):
+    tables = [trained / "model" / "train_metrics.csv", ablated / "results.csv", ablated / "loss_curves.csv"]
+    for table in tables:
+        assert b"\r" not in table.read_bytes(), table
+
+
 class TestAblateCommand:
-    def test_small_sweep_writes_tables(self, logs_dir, tmp_path):
-        rc = main(
-            [
-                "ablate", "--logs", str(logs_dir), "--out", str(tmp_path),
-                "--T", "4", "--variant", "base", "base_single",
-                "--quota", "3,2,1", "--max-epochs", "1", "--batch-size", "128",
-                "--seed", "0",
-            ]
-        )
-        assert rc == 0
-        lines = (tmp_path / "results.csv").read_text().splitlines()
+    def test_small_sweep_writes_tables(self, ablated):
+        lines = (ablated / "results.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert (tmp_path / "loss_curves.csv").exists()
+        assert (ablated / "loss_curves.csv").exists()
+
+    def test_manifest_records_sweep_and_train_config(self, ablated):
+        manifest = json.loads((ablated / "run_manifest.json").read_text())
+        sweep, train = manifest["config"]["sweep"], manifest["config"]["train"]
+        assert (sweep["T_set"], sweep["FT_set"], sweep["K_set"]) == ([4], [1], [1])
+        assert sweep["variants"] == ["base", "base_single"]
+        assert sweep["quotas"] == [{"n_car": 3, "n_pedestrian": 2, "n_traffic": 1}]
+        assert sweep["seeds"] == [0]
+        assert (train["batch_size"], train["max_epochs"], train["patience"]) == (128, 1, 7)
+        assert train["step_size"] == 0.001 and train["seed"] == 0
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(

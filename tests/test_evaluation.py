@@ -7,8 +7,8 @@ from speedcast.errors import InvalidConfigError
 from speedcast.evaluation import (
     RESULTS_HEADER,
     SweepSpec,
+    INFERENCE_REPEATS,
     evaluate,
-    measure_inference,
     metrics_from_predictions,
     predict,
     run_ablation,
@@ -72,6 +72,19 @@ class TestMetrics:
 
 
 class TestInferenceTiming:
+    @staticmethod
+    def _spy_on_predict(monkeypatch):
+        """Record the clip count of every `evaluation.predict` call."""
+        calls = []
+        real = evaluation.predict
+
+        def spy(params, features, mask):
+            calls.append(features.shape[0])
+            return real(params, features, mask)
+
+        monkeypatch.setattr(evaluation, "predict", spy)
+        return calls
+
     def test_reports_positive_time(self, small_dataset, tiny_model_config):
         import dataclasses
 
@@ -79,14 +92,45 @@ class TestInferenceTiming:
             tiny_model_config, T=small_dataset.T, FT=small_dataset.FT, K=1
         )
         params = init_params(cfg, seed=0)
-        feats, mask, _ = small_dataset.subset(small_dataset.test_idx[:8])
-        out = measure_inference(params, feats, mask)
-        assert out["per_clip_us"] > 0.0
+        feats, mask, labels = small_dataset.subset(small_dataset.test_idx[:8])
+        assert evaluate(params, feats, mask, labels).per_clip_us > 0.0
 
-    def test_empty_set_is_zero(self, tiny_model_config):
+    def test_scores_and_times_the_same_full_split_passes(self, small_dataset, tiny_model_config, monkeypatch):
+        import dataclasses
+
+        cfg = dataclasses.replace(
+            tiny_model_config, T=small_dataset.T, FT=small_dataset.FT, K=1
+        )
+        params = init_params(cfg, seed=0)
+        feats, mask, labels = small_dataset.subset(small_dataset.test_idx[:20])
+        calls = self._spy_on_predict(monkeypatch)
+        evaluate(params, feats, mask, labels)
+        assert calls == [20] * INFERENCE_REPEATS
+
+    def test_empty_split_rejected_before_any_predict(self, tiny_model_config, monkeypatch):
         params = init_params(tiny_model_config, seed=0)
-        out = measure_inference(params, np.zeros((0, 3, 6, 4)), np.zeros((0, 3, 6), dtype=bool))
-        assert out["per_clip_us"] == 0.0
+        calls = self._spy_on_predict(monkeypatch)
+        with pytest.raises(InvalidConfigError, match="empty"):
+            evaluate(params, np.zeros((0, 3, 6, 4)), np.zeros((0, 3, 6), dtype=bool), np.zeros(0, dtype=np.int64))
+        assert calls == []
+
+    def test_ablation_cell_is_scored_and_timed_by_one_evaluate(self, small_synth, monkeypatch):
+        evaluations = []
+        real = evaluation.evaluate
+
+        def spy(params, features, mask, labels):
+            evaluations.append(len(labels))
+            return real(params, features, mask, labels)
+
+        monkeypatch.setattr(evaluation, "evaluate", spy)
+        calls = self._spy_on_predict(monkeypatch)
+        spec = SweepSpec(
+            T_set=(4,), FT_set=(1,), K_set=(1,), variants=("base",),
+            quotas=(TINY_QUOTA,), seeds=(0,),
+        )
+        (cell,) = run_ablation(small_synth.sessions, spec, TrainConfig(batch_size=128, max_epochs=1, seed=0))
+        assert cell.error is None and cell.metrics.per_clip_us > 0.0
+        assert calls == evaluations * INFERENCE_REPEATS and len(evaluations) == 1
 
 
 class TestSweep:
@@ -95,6 +139,17 @@ class TestSweep:
         cells = list(spec.cells())
         assert len(cells) == 4
         assert {(t, k) for _, t, _, k, _, _ in cells} == {(2, 1), (2, 2), (3, 1), (3, 2)}
+        # variant outermost, then T, FT, K, quota, and seed fastest
+        spec = SweepSpec(
+            T_set=(2, 3), FT_set=(1, 2), K_set=(1, 2), variants=("base", "full"),
+            quotas=(CategoryQuota(1, 1, 1), CategoryQuota(2, 1, 1)), seeds=(0, 1),
+        )
+        nested = [
+            (v, t, ft, k, q, s)
+            for v in spec.variants for t in spec.T_set for ft in spec.FT_set
+            for k in spec.K_set for q in spec.quotas for s in spec.seeds
+        ]
+        assert list(spec.cells()) == nested and len(nested) == 64
 
     def test_empty_set_rejected(self):
         with pytest.raises(InvalidConfigError):

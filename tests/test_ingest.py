@@ -368,6 +368,10 @@ class TestArchiveRoundTrip:
             (lambda d: TestArchiveRoundTrip._set(d, "windows", (0, 0), len(d["frames"])), "windows"),
             (lambda d: TestArchiveRoundTrip._set(d, "windows", (-1, -1), -1), "windows"),
             (lambda d: d.update({"windows": d["windows"][:, :-1]}), "windows"),
+            (
+                lambda d: d.update({"windows": d["windows"].astype(float)}),
+                r"windows: stored float64 .* expected integers",
+            ),
             (lambda d: d.update({"labels": d["labels"] + 4}), "labels"),
             (lambda d: d.update({"norm_std": np.zeros(4)}), "norm"),
             (lambda d: d.update({"dims": np.array([5])}), "dims"),
@@ -375,7 +379,7 @@ class TestArchiveRoundTrip:
         ],
         ids=[
             "missing-array", "index-range", "mask-shape", "nan-feature", "window-past-frames",
-            "window-negative", "windows-shape", "label-range", "norm-std", "dims", "object-labels",
+            "window-negative", "windows-shape", "windows-float", "label-range", "norm-std", "dims", "object-labels",
         ],
     )
     def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):

@@ -420,6 +420,23 @@ class TestCheckpoint:
         for name, arr in loaded.named_arrays():
             np.testing.assert_array_equal(arr, original[name])
 
+    def test_numpy_integer_config_round_trips(self, tmp_path):
+        config = ModelConfig(
+            T=np.int64(3), K=np.int32(2), quota=CategoryQuota(np.int64(3), 2, np.uint8(1)),
+            graph_widths=(np.int64(4), 8), lstm_hidden=np.int16(8), mlp_widths=(8, np.int64(8)),
+        )
+        params = init_params(config, seed=0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(params, path)
+        plain = ModelConfig(
+            T=3, K=2, quota=CategoryQuota(3, 2, 1), graph_widths=(4, 8), lstm_hidden=8, mlp_widths=(8, 8)
+        )
+        assert config.to_json() == plain.to_json()
+        loaded = load_checkpoint(path)
+        assert loaded.config == config == plain
+        for name, arr in loaded.named_arrays():
+            np.testing.assert_array_equal(arr, params.arrays()[name])
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, schema=np.array("not-a-checkpoint"))
@@ -456,6 +473,8 @@ class TestCheckpoint:
             (lambda d: d.update({"classifier.b1": np.zeros(3)}), "classifier.b1"),
             (lambda d: d.update({"classifier.b1": np.array(["x"] * 8)}), "classifier.b1"),
             (lambda d: d.pop("seed"), "seed"),
+            (lambda d: d.update({"seed": np.array("abc")}), "checkpoint seed: stored <U3"),
+            (lambda d: d.update({"seed": np.array([1, 2])}), r"checkpoint seed: stored int64 \(2,\)"),
             (lambda d: d.update({"config": drop_config_field(d["config"], "T")}), r"lacks \['T'\]"),
             (lambda d: d.update({"config": np.array("{")}), "config is not JSON"),
             (
@@ -479,7 +498,7 @@ class TestCheckpoint:
             ),
         ],
         ids=[
-            "missing", "extra", "shape", "dtype", "metadata", "config-field", "config-json",
+            "missing", "extra", "shape", "dtype", "metadata", "seed-string", "seed-vector", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
             "config-quota-float", "config-quota-bool", "config-quota-length",
             "config-activation-missing", "config-activation-identity", "config-activation-null",

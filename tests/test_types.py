@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from speedcast.errors import InvalidConfigError, InvalidRecordError
@@ -105,3 +107,13 @@ def _ill_typed_fields():
 def test_every_config_field_is_type_checked(cls, name, value):
     with pytest.raises(InvalidConfigError, match=f"{cls.__name__} field {name} must be"):
         cls(**{name: value})
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    """A config built from numpy scalars serializes as JSON, and a float32 keeps its value."""
+    config = TrainConfig(batch_size=np.int64(4), step_size=np.float32(0.3), beta1=np.int64(0))
+    plain = TrainConfig(batch_size=4, step_size=float(np.float32(0.3)), beta1=0)
+    assert json.dumps(vars(config)) == json.dumps(vars(plain))
+    assert type(config.batch_size) is int and type(config.step_size) is float and type(config.beta1) is int
+    assert config.step_size == float(np.float32(0.3)) != 0.3
+    assert SynthConfig(segment_frames=(np.int32(5), np.int64(9))).segment_frames == (5, 9)
