@@ -24,11 +24,12 @@ from .model import (
     ModelConfig,
     init_params,
     load_checkpoint,
+    normalize_variant,
     save_checkpoint,
 )
-from .seeding import derive_seed
+from .seeding import derive_seed, order_seed, split_seed
 from .synth import SynthConfig, generate, write_logs
-from .train import TrainConfig, gradient_check, train
+from .train import TrainConfig, gradient_check, train_variant
 from .types import ACTION_NAMES, CategoryQuota
 
 MANIFEST_SCHEMA = "speedcast-manifest/1"
@@ -99,9 +100,12 @@ def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
     return SynthConfig(**(values if seed is None else values | {"seed": seed}))
 
 
-def _train_config(path: str | None, args: argparse.Namespace, seed: int) -> TrainConfig:
-    """TrainConfig from the derived `seed`, then an optional JSON file, then the training flags."""
-    values = {"seed": seed} | (_read_config(path, "train", TrainConfig) if path else {})
+def _train_config(path: str | None, args: argparse.Namespace, variant: str | None) -> TrainConfig:
+    """TrainConfig from --seed's batch-order seed for `variant` (none for ablate), a JSON file, then the flags."""
+    values = _read_config(path, "train", TrainConfig) if path else {}
+    if variant is None and "seed" in values:
+        raise InvalidConfigError(f"train config {path} sets seed; ablate derives every seed from --seed")
+    values = ({} if variant is None else {"seed": order_seed(args.seed, normalize_variant(variant))}) | values
     for name in ("batch_size", "max_epochs", "step_size"):
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
@@ -132,7 +136,7 @@ def run_prepare(
     target_fps: float,
 ) -> None:
     sessions = load_sessions(logs, source_fps, target_fps)
-    dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=derive_seed(seed, "split"))
+    dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=split_seed(seed))
     out.mkdir(parents=True, exist_ok=True)
     archive = out / "clips.npz"
     dataset.save(archive)
@@ -162,15 +166,8 @@ def run_train(
     archive: Path, out: Path, variant: str, K: int, seed: int, train_config: TrainConfig, quiet: bool
 ) -> int:
     """Train one variant on an archive; exit code 4 when a numeric fault aborted training."""
-    dataset = ClipDataset.load(archive)
-    config = ModelConfig(T=dataset.T, FT=dataset.FT, K=K, quota=dataset.quota, variant=variant)
-    params = init_params(config, seed=derive_seed(seed, "init", variant))
-    best, report = train(
-        dataset,
-        params,
-        train_config,
-        progress=(None if quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")),
-    )
+    progress = None if quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")
+    best, report = train_variant(ClipDataset.load(archive), variant, K, seed, train_config, progress)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(best, ckpt)
@@ -199,7 +196,7 @@ def run_train(
     _write_manifest(
         out,
         "train",
-        {"variant": config.variant, "K": K, "train": dataclasses.asdict(train_config)},
+        {"variant": best.config.variant, "K": K, "train": dataclasses.asdict(train_config)},
         seed,
         {"checkpoint": ckpt, "report": report_path, "metrics": metrics_path},
     )
@@ -236,7 +233,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    train_config = _train_config(args.config, args, derive_seed(args.seed, "train", args.variant))
+    train_config = _train_config(args.config, args, args.variant)
     return run_train(Path(args.archive), Path(args.out), args.variant, args.K, args.seed, train_config, args.quiet)
 
 
@@ -255,7 +252,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         quotas=(_parse_quota(args.quota),),
         seeds=(args.seed,),
     )
-    train_config = _train_config(args.config, args, args.seed)
+    train_config = _train_config(args.config, args, None)
     results = run_ablation(sessions, sweep, train_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,7 +263,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _write_manifest(
         out,
         "ablate",
-        {"sweep": dataclasses.asdict(sweep), "train": dataclasses.asdict(train_config)},
+        {"sweep": dataclasses.asdict(sweep), "train": dataclasses.asdict(train_config) | {"seed": None}},
         args.seed,
         {"results": table, "loss_curves": curves},
     )
@@ -278,6 +275,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.tolerance):
+        raise InvalidConfigError(f"--tolerance must be a finite number, got {args.tolerance}")
     config = ModelConfig(
         T=3,
         FT=1,
@@ -323,7 +322,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Chain synth -> prepare -> train -> eval into one run directory."""
     out = Path(args.out)
     quota = _parse_quota(args.quota)
-    train_config = _train_config(args.train_config, args, derive_seed(args.seed, "train", args.variant))
+    train_config = _train_config(args.train_config, args, args.variant)
     run_synth(_synth_config(args.synth_config, args.seed), out / "logs")
     run_prepare(
         out / "logs", out / "dataset", args.T, args.FT, quota, args.seed, args.source_fps, args.target_fps

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InvalidConfigError, SpeedcastError
 from .ingest import ClipDataset, build_dataset
-from .model import ModelConfig, ModelParams, init_params, model_forward
-from .seeding import derive_seed
-from .train import TrainConfig, TrainReport, train
+from .model import ModelParams, model_forward, normalize_variant
+from .seeding import order_seed, split_seed
+from .train import TrainConfig, TrainReport, train_variant
 from .types import NUM_ACTIONS, CategoryQuota, FrameDetections, SensorSample
 
 RESULTS_HEADER = (
@@ -112,6 +112,7 @@ class SweepSpec:
         for name in ("T_set", "FT_set", "K_set", "variants", "quotas", "seeds"):
             if not getattr(self, name):
                 raise InvalidConfigError(f"sweep set {name} must be non-empty")
+        self.variants = tuple(map(normalize_variant, self.variants))
 
     def cells(self):
         """(variant, T, FT, K, quota, seed) tuples, the last varying fastest."""
@@ -145,33 +146,24 @@ def run_ablation(
     sweep: SweepSpec,
     train_config: TrainConfig,
 ) -> list[CellResult]:
-    """Train and evaluate every sweep cell independently from a fresh seeded init.
+    """Train and evaluate every cell as `prepare`, `train` and `eval` at the cell's seed do.
 
-    Clip datasets are assembled once per distinct (T, FT, quota) and shared.
-    A cell that fails with a SpeedcastError is recorded and the sweep
-    continues; any other exception is a bug and propagates.
+    Clip datasets are built once per distinct (T, FT, quota, seed) and shared;
+    `train_config.seed` is not read. A cell that fails with a SpeedcastError
+    is recorded and the sweep continues; any other exception is a bug and propagates.
     """
-    dataset_cache: dict[tuple, ClipDataset] = {}
+    datasets: dict[tuple, ClipDataset] = {}
     results: list[CellResult] = []
     for variant, t, ft, k, quota, seed in sweep.cells():
         cell = CellResult(variant=variant, T=t, FT=ft, K=k, quota=quota, seed=seed)
         try:
-            data_key = (t, ft, quota)
-            if data_key not in dataset_cache:
-                dataset_cache[data_key] = build_dataset(
-                    sessions,
-                    T=t,
-                    FT=ft,
-                    quota=quota,
-                    seed=derive_seed(train_config.seed, "split", t, ft, quota),
-                )
-            dataset = dataset_cache[data_key]
-            cell_seed = derive_seed(train_config.seed, variant, t, ft, k, quota, seed)
-            config = ModelConfig(T=t, FT=ft, K=k, quota=quota, variant=variant)
-            params = init_params(config, seed=cell_seed)
-            best, report = train(dataset, params, dataclasses.replace(train_config, seed=cell_seed))
-            feats, mask, labels = dataset.subset(dataset.test_idx)
-            cell.metrics = evaluate(best, feats, mask, labels)
+            key = (t, ft, quota, seed)
+            if key not in datasets:
+                datasets[key] = build_dataset(sessions, T=t, FT=ft, quota=quota, seed=split_seed(seed))
+            dataset = datasets[key]
+            config = dataclasses.replace(train_config, seed=order_seed(seed, variant))
+            best, report = train_variant(dataset, variant, k, seed, config)
+            cell.metrics = evaluate(best, *dataset.subset(dataset.test_idx))
             cell.report = report
         except SpeedcastError as exc:
             cell.error = f"{type(exc).__name__}: {exc}"

@@ -77,14 +77,11 @@ def downsample(
     frames: Sequence[FrameDetections], source_fps: float, target_fps: float
 ) -> list[FrameDetections]:
     """Keep every round(source/target)-th frame, starting from the first."""
-    if target_fps <= 0:
-        raise InvalidConfigError(f"target_fps must be positive, got {target_fps}")
-    if source_fps <= 0:
-        raise InvalidConfigError(f"source_fps must be positive, got {source_fps}")
+    for name, fps in (("target_fps", target_fps), ("source_fps", source_fps)):
+        if not (math.isfinite(fps) and fps > 0):
+            raise InvalidConfigError(f"{name} must be a positive finite number, got {fps}")
     if target_fps > source_fps:
-        raise InvalidConfigError(
-            f"target_fps {target_fps} exceeds source_fps {source_fps}"
-        )
+        raise InvalidConfigError(f"target_fps {target_fps} exceeds source_fps {source_fps}")
     stride = max(1, round(source_fps / target_fps))
     return list(frames[::stride])
 

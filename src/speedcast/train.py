@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericFaultError
 from .ingest import ClipDataset
-from .model import ModelParams, model_backward, model_forward
+from .model import ModelConfig, ModelParams, init_params, model_backward, model_forward
+from .seeding import derive_seed
 from .types import check_field_types
 
 COMPUTE_DTYPE = np.float32  # dtype of each training batch's forward and backward
@@ -269,6 +270,14 @@ def train(
     return best_snapshot, report
 
 
+def train_variant(
+    dataset: ClipDataset, variant: str, K: int, seed: int, config: TrainConfig, progress: Optional[Callable] = None
+) -> tuple[ModelParams, TrainReport]:
+    """Build `variant` at `K` for `dataset`, initialise it from run seed `seed` and `train` it with `config`."""
+    model = ModelConfig(T=dataset.T, FT=dataset.FT, K=K, quota=dataset.quota, variant=variant)
+    return train(dataset, init_params(model, seed=derive_seed(seed, "init", model.variant)), config, progress)
+
+
 def _frame_batch(windows: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, batch windows): the frame-table rows the clips `idx` read, each once and
     in order, and each clip's steps as (len(idx), T) indices into those rows."""
@@ -299,6 +308,7 @@ def gradient_check(
     Returns per-tensor worst relative error. Coordinates whose absolute
     discrepancy is below `abs_floor` count as exact: there the difference is
     dominated by float64 roundoff of the loss evaluations, not by the gradient.
+    A non-finite finite difference or gradient coordinate makes its tensor's error inf.
     If `normwise` is given, it receives each tensor's norm-wise error
     ||fd - g|| / max(||fd||, ||g||), which has no floor and so shows the margin.
     """
@@ -319,8 +329,8 @@ def gradient_check(
             flat[idx] = orig
             fd = fds[idx] = (up - down) / (2.0 * step)
             diff = abs(fd - gflat[idx])
-            if diff > abs_floor:
-                err = max(err, diff / max(abs(fd), abs(gflat[idx])))
+            if not diff <= abs_floor:  # a NaN difference too
+                err = max(err, diff / max(abs(fd), abs(gflat[idx]))) if np.isfinite(diff) else np.inf
         worst[name] = err
         if normwise is not None:
             scale = max(np.linalg.norm(fds), np.linalg.norm(gflat))

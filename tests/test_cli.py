@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, manifests, exit codes."""
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -9,7 +11,10 @@ import pytest
 from speedcast import cli, evaluation
 from speedcast import train as train_module
 from speedcast.cli import main
-from speedcast.ingest import ClipDataset
+from speedcast.evaluation import SweepSpec, run_ablation
+from speedcast.ingest import ClipDataset, load_sessions
+from speedcast.train import TrainConfig
+from speedcast.types import CategoryQuota
 
 
 def sha256(path):
@@ -91,6 +96,14 @@ class TestPrepareCommand:
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "s000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--source-fps", "--target-fps"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_fps_is_config_error(self, logs_dir, tmp_path, capsys, flag, value):
+        assert main(["prepare", "--logs", str(logs_dir), "--out", str(tmp_path / "out"), flag, value]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be a positive finite number, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_logs_dir_is_error(self, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path)])
@@ -244,6 +257,19 @@ class TestTrainEvalCommands:
         assert fault["tensor"].startswith("classifier.")
         assert fault["message"] == f"non-finite gradient in {fault['tensor']}"
 
+    def test_variant_spelling_does_not_change_checkpoint(self, trained, tmp_path):
+        """Seeds derive from the canonical variant name, so `Full` trains the model `full` does."""
+        for spelling in ("Full", "full"):
+            assert main(
+                [
+                    "train", "--archive", str(trained / "data" / "clips.npz"), "--out", str(tmp_path / spelling),
+                    "--variant", spelling, "--batch-size", "128", "--max-epochs", "1", "--quiet",
+                ]
+            ) == 0
+            manifest = json.loads((tmp_path / spelling / "run_manifest.json").read_text())
+            assert manifest["config"]["variant"] == "full"
+        assert sha256(tmp_path / "Full" / "checkpoint.npz") == sha256(tmp_path / "full" / "checkpoint.npz")
+
     def test_train_artifacts(self, trained):
         assert (trained / "model" / "checkpoint.npz").exists()
         report = json.loads((trained / "model" / "train_report.json").read_text())
@@ -333,6 +359,13 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_exits_five(self):
         assert main(["gradcheck", "--seed", "0", "--tolerance=-1"]) == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_config_error(self, capsys, value):
+        assert main(["gradcheck", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --tolerance must be a finite number, got {value}" in captured.err
+        assert "passed" not in captured.out
+
     def test_reports_a_nonzero_normwise_error_per_tensor(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
@@ -391,7 +424,16 @@ class TestAblateCommand:
         assert sweep["quotas"] == [{"n_car": 3, "n_pedestrian": 2, "n_traffic": 1}]
         assert sweep["seeds"] == [0]
         assert (train["batch_size"], train["max_epochs"], train["patience"]) == (128, 1, 7)
-        assert train["step_size"] == 0.001 and train["seed"] == 0
+        assert train["step_size"] == 0.001 and train["seed"] is None  # every cell derives its own from --seed
+
+    def test_config_that_sets_seed_is_config_error(self, logs_dir, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text('{"seed": 5}')
+        rc = main(["ablate", "--logs", str(logs_dir), "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: train config {config} sets seed; ablate derives every seed from --seed" in err
+        assert not (tmp_path / "out").exists()
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(
@@ -402,3 +444,54 @@ class TestAblateCommand:
         )
         assert rc == 3
         assert "s000" in capsys.readouterr().err
+
+
+# The settings an ablate row shares with the `prepare` + `train` + `eval` run it reproduces.
+E2E_SETTINGS = ["--T", "4", "--quota", "3,2,1", "--batch-size", "128", "--max-epochs", "3"]
+
+
+@pytest.fixture(scope="module")
+def separate_runs(logs_dir, tmp_path_factory):
+    """`prepare` + `train` + `eval` per (seed, variant): eval's printed recalls and accuracy, and the val losses."""
+    runs = {}
+    for seed, variant in [(0, "full"), (0, "base"), (1, "full")]:
+        root = tmp_path_factory.mktemp(f"run_{seed}_{variant}")
+        archive, model = root / "clips.npz", root / "model"
+        clip_flags = E2E_SETTINGS[:4]
+        assert main(["prepare", "--logs", str(logs_dir), "--out", str(root), *clip_flags, "--seed", str(seed)]) == 0
+        train_flags = ["--variant", variant, "--K", "2", *E2E_SETTINGS[4:], "--seed", str(seed), "--quiet"]
+        assert main(["train", "--archive", str(archive), "--out", str(model), *train_flags]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert main(["eval", "--archive", str(archive), "--checkpoint", str(model / "checkpoint.npz")]) == 0
+        lines = printed.getvalue().splitlines()
+        shown = [line.split(": ")[1] for line in lines if line.startswith(("recall", "accuracy"))]
+        val_losses = [line.split(",")[2] for line in (model / "train_metrics.csv").read_text().splitlines()[1:]]
+        runs[seed, variant] = (["" if x == "undefined" else x for x in shown], val_losses)
+    return runs
+
+
+def scores(row: str) -> list[str]:
+    """The recall and accuracy cells of a results.csv row."""
+    return row.split(",")[8:13]
+
+
+class TestAblateRowIsPrepareTrainEval:
+    def test_rows_match_the_commands_at_the_same_seed(self, logs_dir, separate_runs, tmp_path):
+        args = ["ablate", "--logs", str(logs_dir), "--out", str(tmp_path), "--variant", "full", "base", "--K", "2"]
+        assert main([*args, *E2E_SETTINGS, "--seed", "0"]) == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        curves = (tmp_path / "loss_curves.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for variant, row in zip(["full", "base"], rows):
+            shown, val_losses = separate_runs[0, variant]
+            assert row.startswith(f"{variant},4,1,2,3,2,1,0,") and scores(row) == shown
+            cell_losses = [line.split(",")[7] for line in curves if line.startswith(f"{variant},")]
+            assert [f"{float(v):.6f}" for v in cell_losses] == val_losses
+
+    def test_each_seed_of_a_sweep_matches_its_own_run(self, logs_dir, separate_runs):
+        spec = SweepSpec(T_set=(4,), K_set=(2,), variants=("full",), quotas=(CategoryQuota(3, 2, 1),), seeds=(0, 1))
+        results = run_ablation(load_sessions(logs_dir), spec, TrainConfig(batch_size=128, max_epochs=3))
+        assert [cell.seed for cell in results] == [0, 1]
+        for cell in results:
+            assert cell.error is None
+            assert scores(cell.csv_row()) == separate_runs[cell.seed, "full"][0]

@@ -15,6 +15,7 @@ from speedcast.evaluation import (
     write_results_table,
 )
 from speedcast.model import init_params
+from speedcast.seeding import split_seed
 from speedcast.train import TrainConfig
 from speedcast.types import CategoryQuota
 
@@ -155,6 +156,30 @@ class TestSweep:
         with pytest.raises(InvalidConfigError):
             SweepSpec(T_set=())
 
+    def test_variants_are_stored_by_canonical_name(self):
+        assert SweepSpec(variants=("Full", "base-t", "BaseSingle")).variants == ("full", "base_t", "base_single")
+        with pytest.raises(InvalidConfigError, match="unknown variant 'bogus'"):
+            SweepSpec(variants=("bogus",))
+
+    def test_one_dataset_per_seed_split_by_that_seed(self, small_synth, monkeypatch):
+        """2 variants x 2 seeds build 2 datasets, each split with its own seed's split seed."""
+        built = []
+        real = evaluation.build_dataset
+
+        def spy(*args, **kwargs):
+            built.append((kwargs["seed"], real(*args, **kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(evaluation, "build_dataset", spy)
+        spec = SweepSpec(
+            T_set=(4,), FT_set=(1,), K_set=(1,), variants=("base", "base_single"),
+            quotas=(TINY_QUOTA,), seeds=(0, 1),
+        )
+        results = run_ablation(small_synth.sessions, spec, TrainConfig(batch_size=128, max_epochs=1))
+        assert all(cell.error is None for cell in results) and len(results) == 4
+        assert [seed for seed, _ in built] == [split_seed(0), split_seed(1)]
+        assert not np.array_equal(built[0][1].test_idx, built[1][1].test_idx)
+
     def test_run_ablation_records_failures_and_continues(self, small_synth):
         # T larger than any session forces a cell failure; the base cell still runs.
         spec = SweepSpec(
@@ -177,7 +202,7 @@ class TestSweep:
         def broken_train(*args, **kwargs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(evaluation, "train", broken_train)
+        monkeypatch.setattr(evaluation, "train_variant", broken_train)
         spec = SweepSpec(
             T_set=(4,), FT_set=(1,), K_set=(1,), variants=("base",),
             quotas=(TINY_QUOTA,), seeds=(0,),

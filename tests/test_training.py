@@ -69,6 +69,22 @@ class TestGradients:
         assert max(worst.values()) <= 1e-4
 
 
+    def test_gradient_check_fails_on_a_non_finite_difference(self, monkeypatch):
+        """A NaN loss evaluation makes its tensor's worst error inf instead of counting as exact."""
+        cfg = ModelConfig(T=2, K=1, quota=TINY_QUOTA, graph_widths=(3, 4), lstm_hidden=4, mlp_widths=(4, 4))
+        params = init_params(cfg, seed=4)
+        features, mask, labels = random_batch(cfg, batch=2, seed=4)
+        real, calls = train_module.batch_loss, []
+
+        def nan_once(*args):
+            calls.append(1)
+            return float("nan") if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(train_module, "batch_loss", nan_once)
+        worst = gradient_check(features, mask, labels, params)
+        first = next(name for name, _ in params.named_arrays())
+        assert [name for name, err in worst.items() if err == np.inf] == [first]
+
     @pytest.mark.parametrize("K", [0, 5])
     def test_gradient_check_with_empty_views(self, K):
         """Frames where a view has no real node pool to zero and must pass no gradient."""
