@@ -21,6 +21,7 @@ from .evaluation import (
 )
 from .ingest import ClipDataset, build_dataset, load_sessions
 from .model import (
+    VARIANTS,
     ModelConfig,
     init_params,
     load_checkpoint,
@@ -54,10 +55,17 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed: in
             name: {"path": str(path), "sha256": _sha256(path)} for name, path in artifacts.items()
         },
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
+
+
+def _make_out_dir(out: Path) -> None:
+    """Create output directory `out` and its parents; an OSError is a config error naming --out."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot create --out directory {out}: {exc.strerror or exc}") from exc
 
 
 def _parse_quota(text: str) -> CategoryQuota:
@@ -113,6 +121,7 @@ def _train_config(path: str | None, args: argparse.Namespace, variant: str | Non
 
 
 def run_synth(config: SynthConfig, out: Path) -> None:
+    _make_out_dir(out)
     result = generate(config)
     det_path, sen_path = write_logs(result, out)
     _write_manifest(
@@ -136,8 +145,8 @@ def run_prepare(
     target_fps: float,
 ) -> None:
     sessions = load_sessions(logs, source_fps, target_fps)
+    _make_out_dir(out)
     dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=split_seed(seed))
-    out.mkdir(parents=True, exist_ok=True)
     archive = out / "clips.npz"
     dataset.save(archive)
     hist = np.bincount(dataset.labels, minlength=4)
@@ -167,8 +176,9 @@ def run_train(
 ) -> int:
     """Train one variant on an archive; exit code 4 when a numeric fault aborted training."""
     progress = None if quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")
-    best, report = train_variant(ClipDataset.load(archive), variant, K, seed, train_config, progress)
-    out.mkdir(parents=True, exist_ok=True)
+    dataset = ClipDataset.load(archive)
+    _make_out_dir(out)
+    best, report = train_variant(dataset, variant, K, seed, train_config, progress)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(best, ckpt)
     fault = report.fault
@@ -253,9 +263,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
     )
     train_config = _train_config(args.config, args, None)
-    results = run_ablation(sessions, sweep, train_config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
+    results = run_ablation(sessions, sweep, train_config)
     table = out / "results.csv"
     curves = out / "loss_curves.csv"
     write_results_table(results, table)
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, nargs="+", default=[10])
     p.add_argument("--FT", type=int, nargs="+", default=[1])
     p.add_argument("--K", type=int, nargs="+", default=[1])
-    p.add_argument("--variant", nargs="+", default=["base", "base_single", "base_multi", "base_t", "full"])
+    p.add_argument("--variant", nargs="+", default=list(VARIANTS))
     p.add_argument("--config", help="train config JSON file")
     p.set_defaults(func=cmd_ablate)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, SpeedcastError
 from .ingest import ClipDataset, build_dataset
-from .model import ModelParams, model_forward, normalize_variant
+from .model import VARIANTS, ModelParams, model_forward, normalize_variant
 from .seeding import order_seed, split_seed
 from .train import TrainConfig, TrainReport, train_variant
 from .types import NUM_ACTIONS, CategoryQuota, FrameDetections, SensorSample
@@ -104,7 +104,7 @@ class SweepSpec:
     T_set: tuple[int, ...] = (10,)
     FT_set: tuple[int, ...] = (1,)
     K_set: tuple[int, ...] = (1,)
-    variants: tuple[str, ...] = ("base", "base_single", "base_multi", "base_t", "full")
+    variants: tuple[str, ...] = VARIANTS
     quotas: tuple[CategoryQuota, ...] = (CategoryQuota(),)
     seeds: tuple[int, ...] = (0,)
 

@@ -342,7 +342,7 @@ class ClipDataset:
     def load(cls, path: str | Path) -> "ClipDataset":
         """Read an archive `save` wrote, validated: the keys, the shapes against
         `dims` and `quota`, the window, label and split-index ranges, and finite
-        frames and norm statistics. A violation raises InvalidRecordError naming it.
+        float64 frames and norm statistics. A violation raises InvalidRecordError naming it.
         A schema /1 archive loads as a frame table that holds each clip's frames
         in their own rows.
         """
@@ -377,7 +377,7 @@ class ClipDataset:
         m = self.windows.shape[0] if self.windows.ndim == 2 else -1
         f = self.frames.shape[0] if self.frames.ndim == 3 else -1
         n = self.quota.total
-        expected = {  # name: (shape, dtype kinds)
+        expected = {  # name: (shape, dtype kinds, where "f" is float64 only)
             "frames": ((f, n, 4), "f"),
             "frame_mask": ((f, n), "b"),
             "windows": ((m, self.T), "iu"),
@@ -390,8 +390,8 @@ class ClipDataset:
         }
         for key, (shape, kinds) in expected.items():
             arr = getattr(self, key)
-            if arr.shape != shape or arr.dtype.kind not in kinds:
-                kind = {"f": "floats", "b": "bools", "iu": "integers", "U": "strings"}[kinds]
+            if arr.shape != shape or arr.dtype.kind not in kinds or (kinds == "f" and arr.dtype != np.float64):
+                kind = {"f": "float64", "b": "bools", "iu": "integers", "U": "strings"}[kinds]
                 raise InvalidRecordError(f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {kind} {shape}")
         if self.windows.size and not 0 <= self.windows.min() <= self.windows.max() < f:
             raise InvalidRecordError(f"clipset windows hold frame indices outside [0, {f})")

@@ -44,23 +44,18 @@ class ModelConfig:
     The graph layers and the MLP's hidden layers are always rectified (ReLU).
     """
 
-    T: int = 10
-    FT: int = 1
-    K: int = 1
+    T: int = field(default=10, metadata={"ge": 1})
+    FT: int = field(default=1, metadata={"ge": 1})
+    K: int = field(default=1, metadata={"ge": 0})
     quota: CategoryQuota = field(default_factory=CategoryQuota)
-    graph_widths: tuple[int, int] = (16, 32)
-    lstm_hidden: int = 64
-    lstm_layers: int = 2
-    mlp_widths: tuple[int, int] = (64, 32)
+    graph_widths: tuple[int, ...] = field(default=(16, 32), metadata={"ge": 1, "min_len": 1})
+    lstm_hidden: int = field(default=64, metadata={"ge": 1})
+    lstm_layers: int = field(default=2, metadata={"ge": 1})
+    mlp_widths: tuple[int, int] = field(default=(64, 32), metadata={"ge": 1})
     variant: str = "full"
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        sizes = (*self.graph_widths, *self.mlp_widths, self.lstm_hidden, self.lstm_layers)
-        if self.T < 1 or self.FT < 1 or self.K < 0:
-            raise InvalidConfigError(f"bad dims T={self.T} FT={self.FT} K={self.K}")
-        if not self.graph_widths or len(self.mlp_widths) != 2 or min(sizes) < 1:
-            raise InvalidConfigError(f"bad sizes in {self}: need all >= 1, a graph layer, two MLP widths")
         object.__setattr__(self, "variant", normalize_variant(self.variant))
 
     def views(self) -> list[tuple[str, slice]]:
@@ -186,7 +181,7 @@ class ModelParams:
         return copy.deepcopy(self, memo)
 
     def load_arrays(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite every tensor from `values`, which must hold exactly these names and shapes."""
+        """Overwrite every tensor from `values`, which must hold exactly these names and shapes, finite float64."""
         expected = self.arrays()
         missing = sorted(expected.keys() - values.keys())
         extra = sorted(values.keys() - expected.keys())
@@ -194,10 +189,10 @@ class ModelParams:
             raise InvalidRecordError(f"checkpoint tensors: missing {missing}, unexpected {extra}")
         for name, arr in expected.items():
             src = values[name]
-            if src.shape != arr.shape or src.dtype.kind != "f":
-                raise InvalidRecordError(
-                    f"{name}: stored {src.dtype} {src.shape}, expected float {arr.shape}"
-                )
+            if src.shape != arr.shape or src.dtype != np.float64:
+                raise InvalidRecordError(f"{name}: stored {src.dtype} {src.shape}, expected float64 {arr.shape}")
+            if not np.isfinite(src).all():
+                raise InvalidRecordError(f"{name}: holds a non-finite value")
             arr[...] = src
 
 
@@ -579,8 +574,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
     A file that is not an `.npz` archive, an array numpy reads only by
     unpickling, a missing field or tensor, a config that lacks a field, an
-    unexpected tensor, or a tensor of the wrong shape or dtype raises
-    InvalidRecordError naming it.
+    unexpected tensor, or a tensor of the wrong shape, not float64 or not
+    finite raises InvalidRecordError naming it.
     """
     tensors = read_archive(path, "checkpoint")
     missing = [key for key in _CHECKPOINT_META if key not in tensors]

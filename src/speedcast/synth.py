@@ -61,45 +61,29 @@ FLIPPED = {
 
 @dataclass(frozen=True)
 class SynthConfig:
-    sessions: int = 30
-    frames_per_session: int = 140
-    fps: float = 3.0
-    highway_fraction: float = 0.5
-    segment_frames: tuple[int, int] = (4, 6)
-    reaction_delay: int = 1
-    initial_stop_frames: int = 3
-    turn_segment_prob: float = 0.05
-    pedestrian_rate: float = 0.3
-    light_prob: float = 0.4
-    background_cars: tuple[int, int] = (2, 5)
-    bbox_jitter_px: float = 0.0
-    confidence_jitter: float = 0.0
+    sessions: int = field(default=30, metadata={"ge": 1})
+    frames_per_session: int = field(default=140, metadata={"ge": 1})
+    fps: float = field(default=3.0, metadata={"gt": 0})
+    highway_fraction: float = field(default=0.5, metadata={"ge": 0, "le": 1})
+    segment_frames: tuple[int, int] = field(default=(4, 6), metadata={"ge": 3})
+    reaction_delay: int = field(default=1, metadata={"ge": 1})
+    initial_stop_frames: int = field(default=3, metadata={"ge": 0})
+    turn_segment_prob: float = field(default=0.05, metadata={"ge": 0, "le": 1})
+    pedestrian_rate: float = field(default=0.3, metadata={"ge": 0, "le": 1})
+    light_prob: float = field(default=0.4, metadata={"ge": 0, "le": 1})
+    background_cars: tuple[int, int] = field(default=(2, 5), metadata={"ge": 0})
+    bbox_jitter_px: float = field(default=0.0, metadata={"ge": 0})
+    confidence_jitter: float = field(default=0.0, metadata={"ge": 0})
     confound: bool = False
-    flag_prob: float = 0.5
+    flag_prob: float = field(default=0.5, metadata={"ge": 0, "le": 1})
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
         for name in ("segment_frames", "background_cars"):
-            if len(getattr(self, name)) != 2:
-                raise InvalidConfigError(f"SynthConfig field {name} must be 2 integers, got {getattr(self, name)!r}")
-        if self.sessions <= 0 or self.frames_per_session <= 0 or self.fps <= 0:
-            raise InvalidConfigError("sessions, frames_per_session and fps must be positive")
-        if self.bbox_jitter_px < 0 or self.confidence_jitter < 0:
-            raise InvalidConfigError("noise levels must be non-negative")
-        if self.reaction_delay < 1:
-            raise InvalidConfigError("reaction_delay must be >= 1")
-        if self.initial_stop_frames < 0:
-            raise InvalidConfigError(f"initial_stop_frames must be >= 0, got {self.initial_stop_frames}")
-        for name in ("highway_fraction", "turn_segment_prob", "pedestrian_rate", "light_prob", "flag_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise InvalidConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        lo, hi = self.segment_frames
-        if lo < 3 or hi < lo:
-            raise InvalidConfigError(f"segment_frames must satisfy 3 <= lo <= hi, got {self.segment_frames}")
-        lo, hi = self.background_cars
-        if lo < 0 or hi < lo:
-            raise InvalidConfigError(f"background_cars must satisfy 0 <= lo <= hi, got {self.background_cars}")
+            lo, hi = getattr(self, name)
+            if hi < lo:
+                raise InvalidConfigError(f"SynthConfig field {name} must satisfy lo <= hi, got {(lo, hi)}")
 
 
 @dataclass

@@ -82,31 +82,18 @@ def loss_and_grads(
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 512
-    step_size: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    patience: int = 50
-    min_delta: float = 1e-6
-    max_epochs: int = 200
+    batch_size: int = field(default=512, metadata={"ge": 1})
+    step_size: float = field(default=0.001, metadata={"gt": 0})
+    beta1: float = field(default=0.9, metadata={"ge": 0, "lt": 1})
+    beta2: float = field(default=0.999, metadata={"ge": 0, "lt": 1})
+    epsilon: float = field(default=1e-8, metadata={"gt": 0})
+    patience: int = field(default=50, metadata={"ge": 1})
+    min_delta: float = field(default=1e-6, metadata={"ge": 0})
+    max_epochs: int = field(default=200, metadata={"ge": 1})
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.step_size <= 0:
-            raise InvalidConfigError(f"step size must be positive, got {self.step_size}")
-        if self.patience < 1:
-            raise InvalidConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise InvalidConfigError("batch_size and max_epochs must be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.epsilon <= 0:
-            raise InvalidConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.min_delta < 0:
-            raise InvalidConfigError(f"min_delta must be >= 0, got {self.min_delta}")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from typing import Optional
@@ -40,15 +41,26 @@ def _plain(value: object) -> object:
     return value.item() if isinstance(value, np.generic) else value
 
 
-def check_field_types(config: object) -> None:
-    """Raise InvalidConfigError naming the first field of dataclass `config` not typed like its default.
+def _range_text(bounds: dict[str, float]) -> str:
+    """The range `bounds` allows, as '>= 1', '> 0', 'in [0, 1]' or 'in [0, 1)'."""
+    if len(bounds) == 2:
+        (lo, a), (hi, b) = sorted(bounds.items())  # ge and gt sort before le and lt
+        return f"in {'[' if lo == 'ge' else '('}{a}, {b}{']' if hi == 'le' else ')'}"
+    ((key, bound),) = bounds.items()
+    return f"{dict(ge='>=', gt='>', le='<=', lt='<')[key]} {bound}"
 
-    A bool field takes only a bool, an int field an integer that is not a
-    bool, a float field a finite number that is not a bool, a str field a
-    str, a tuple field a tuple of integers, and a field whose default is a
-    dataclass an instance of that class. Lengths and ranges are each class's own.
-    Numpy scalars are accepted and stored as Python numbers, so configs serialize as JSON.
+
+def check_field_types(config: object) -> None:
+    """Raise InvalidConfigError naming the first ill-typed or out-of-range field of dataclass `config`.
+
+    A bool field takes only a bool, an int field an integer that is not a bool, a
+    float field a finite number that is not a bool, a str field a str, a tuple field
+    as many integers as its default (at least metadata `min_len` if set), and a field
+    whose default is a dataclass an instance of that class. Metadata bounds `ge`, `gt`,
+    `le` and `lt` hold for a number and for each item of a tuple. Numpy scalars are
+    stored as Python numbers, so configs serialize as JSON.
     """
+    cls = type(config).__name__
     for f in fields(config):
         value = getattr(config, f.name)
         default = f.default_factory() if f.default is MISSING else f.default
@@ -60,12 +72,19 @@ def check_field_types(config: object) -> None:
             ok = _is_int(value) or (isinstance(value, (float, np.floating)) and math.isfinite(value))
             kind = "a finite number"
         elif isinstance(default, tuple):
-            ok, kind = isinstance(value, tuple) and all(map(_is_int, value)), "a tuple of integers"
+            n, ok = f.metadata.get("min_len"), isinstance(value, tuple) and all(map(_is_int, value))
+            ok = ok and (len(value) >= n if n else len(value) == len(default))
+            kind = f"a tuple of {f'at least {n}' if n else len(default)} integers"
         else:
             ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
         if not ok:
-            raise InvalidConfigError(f"{type(config).__name__} field {f.name} must be {kind}, got {value!r}")
-        object.__setattr__(config, f.name, _plain(value))
+            raise InvalidConfigError(f"{cls} field {f.name} must be {kind}, got {value!r}")
+        value = _plain(value)
+        bounds = {key: bound for key, bound in f.metadata.items() if key in ("ge", "gt", "le", "lt")}
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(getattr(operator, key)(item, bound) for key, bound in bounds.items() for item in items):
+            raise InvalidConfigError(f"{cls} field {f.name} must be {_range_text(bounds)}, got {value!r}")
+        object.__setattr__(config, f.name, value)
 
 
 class Action(IntEnum):

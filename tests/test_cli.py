@@ -152,7 +152,7 @@ def test_ill_typed_config_field_is_config_error(tmp_path, capsys, command, paylo
     "command, payload, named",
     [
         ("train", '{"beta1": 1.0}', "beta1 must be in [0, 1), got 1.0"),
-        ("synth", '{"background_cars": [5, 2]}', "background_cars must satisfy 0 <= lo <= hi, got (5, 2)"),
+        ("synth", '{"background_cars": [5, 2]}', "background_cars must satisfy lo <= hi, got (5, 2)"),
         ("synth", '{"highway_fraction": 2.0}', "highway_fraction must be in [0, 1], got 2.0"),
     ],
 )
@@ -164,7 +164,7 @@ def test_out_of_range_config_field_is_config_error(tmp_path, capsys, command, pa
         "train": ["train", "--archive", str(tmp_path / "clips.npz"), "--config", str(config)],
     }[command]
     assert main(args + ["--out", str(tmp_path / "out")]) == 2
-    assert f"error: {named}" in capsys.readouterr().err
+    assert f"error: {command.capitalize()}Config field {named}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -339,6 +339,26 @@ class TestTrainEvalCommands:
         assert rc == 3
         assert "lacks ['T']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: np.put(d["classifier.b_out"], 0, np.nan), "classifier.b_out: holds a non-finite value"),
+            (
+                lambda d: d.update({k: v.astype(np.float32) for k, v in d.items() if v.dtype == np.float64}),
+                "stored float32",
+            ),
+        ],
+        ids=["nan-weight", "float32-tensors"],
+    )
+    def test_eval_checkpoint_tensor_not_finite_float64_is_record_error(self, trained, tmp_path, capsys, edit, named):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            payload = {k: data[k] for k in data.files}
+        edit(payload)
+        np.savez(tmp_path / "checkpoint.npz", **payload)
+        archive = trained / "data" / "clips.npz"
+        assert main(["eval", "--archive", str(archive), "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 3
+        assert named in capsys.readouterr().err
+
     def test_eval_non_archive_checkpoint_is_record_error(self, trained, tmp_path, capsys):
         (tmp_path / "checkpoint.npz").write_text("not an archive")
         rc = main(
@@ -349,6 +369,27 @@ class TestTrainEvalCommands:
         )
         assert rc == 3
         assert "not a checkpoint archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "ablate", "pipeline"])
+def test_out_that_cannot_be_a_directory_fails_before_any_training(
+    trained, logs_dir, tmp_path, capsys, monkeypatch, command
+):
+    """An --out below a regular file is a config error naming --out and the path, raised before training starts."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    trained_models = []
+    monkeypatch.setattr(train_module, "train", lambda *args: trained_models.append(args))
+    args = {
+        "synth": ["synth"],
+        "prepare": ["prepare", "--logs", str(logs_dir)],
+        "train": ["train", "--archive", str(trained / "data" / "clips.npz"), "--variant", "base"],
+        "ablate": ["ablate", "--logs", str(logs_dir), "--T", "4", "--quota", "3,2,1", "--variant", "base"],
+        "pipeline": ["pipeline"],
+    }[command]
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"error: cannot create --out directory {out}" in capsys.readouterr().err
+    assert trained_models == []
 
 
 class TestGradcheckCommand:

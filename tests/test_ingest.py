@@ -341,6 +341,15 @@ class TestArchiveRoundTrip:
         with pytest.raises(InvalidRecordError, match="features"):
             ClipDataset.load(path)
 
+    def test_schema_1_float32_features_rejected(self, tmp_path):
+        with np.load(V1_ARCHIVE) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["features"] = payload["features"].astype(np.float32)
+        path = tmp_path / "clips.npz"
+        np.savez(path, **payload)
+        with pytest.raises(InvalidRecordError, match=r"clipset frames: stored float32 .* expected float64"):
+            ClipDataset.load(path)
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, schema=np.array("other/9"))
@@ -376,10 +385,24 @@ class TestArchiveRoundTrip:
             (lambda d: d.update({"norm_std": np.zeros(4)}), "norm"),
             (lambda d: d.update({"dims": np.array([5])}), "dims"),
             (lambda d: d.update({"labels": d["labels"].astype(object)}), "clipset array labels cannot be read"),
+            # The writer stores frames and norm statistics in float64 only.
+            (
+                lambda d: d.update({"frames": d["frames"].astype(np.float32)}),
+                r"clipset frames: stored float32 .* expected float64",
+            ),
+            (
+                lambda d: d.update({"norm_mean": d["norm_mean"].astype(np.float16)}),
+                r"clipset norm_mean: stored float16 .* expected float64",
+            ),
+            (
+                lambda d: d.update({"norm_std": d["norm_std"].astype(np.float32)}),
+                r"clipset norm_std: stored float32 .* expected float64",
+            ),
         ],
         ids=[
             "missing-array", "index-range", "mask-shape", "nan-feature", "window-past-frames",
             "window-negative", "windows-shape", "windows-float", "label-range", "norm-std", "dims", "object-labels",
+            "frames-float32", "norm-mean-float16", "norm-std-float32",
         ],
     )
     def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):

@@ -1,6 +1,7 @@
 """Model wiring: variants, LSTM encoding, classifier, checkpoints."""
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,9 @@ class TestConfigWiring:
             {"mlp_widths": (8, 8, 8)},
             {"mlp_widths": (8,)},
         ):
-            with pytest.raises(InvalidConfigError, match="bad sizes"):
+            ((name, value),) = bad.items()
+            named = rf"ModelConfig field {name} must be .*, got {re.escape(repr(value))}"
+            with pytest.raises(InvalidConfigError, match=named):
                 ModelConfig(**bad)
         for bad in ({"lstm_hidden": 8.5}, {"K": 1.0}, {"graph_widths": (16, True)}, {"T": "3"}):
             (name,) = bad
@@ -496,13 +499,24 @@ class TestCheckpoint:
                 lambda d: d.update({"classifier.b1": d["classifier.b1"].astype(object)}),
                 "checkpoint array classifier.b1 cannot be read",
             ),
+            # Checkpoints are written in float64 only, and a non-finite weight cannot be a trained one.
+            (
+                lambda d: d.update({"classifier.w1": d["classifier.w1"].astype(np.float32)}),
+                r"classifier\.w1: stored float32 .* expected float64",
+            ),
+            (
+                lambda d: d.update({k: v.astype(np.float16) for k, v in d.items() if v.dtype == np.float64}),
+                r"stored float16 .* expected float64",
+            ),
+            (lambda d: np.put(d["classifier.b_out"], 0, np.nan), r"classifier\.b_out: holds a non-finite value"),
+            (lambda d: np.put(d["graph.car.0.weights"], 5, -np.inf), r"graph\.car\.0\.weights: holds a non-finite"),
         ],
         ids=[
             "missing", "extra", "shape", "dtype", "metadata", "seed-string", "seed-vector", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
             "config-quota-float", "config-quota-bool", "config-quota-length",
             "config-activation-missing", "config-activation-identity", "config-activation-null",
-            "object-tensor",
+            "object-tensor", "tensor-float32", "all-float16", "tensor-nan", "tensor-inf",
         ],
     )
     def test_foreign_content_rejected_by_name(self, tiny_model_config, tmp_path, edit, named):
@@ -525,8 +539,13 @@ class TestCheckpoint:
             (lambda d: d.pop("lstm.pedestrian.1.w_g"), "lstm.pedestrian.1.w_g"),
             (lambda d: d.update({"lstm.car.0.w_f": np.zeros(3)}), "lstm.car.0.w_f.*do not stack"),
             (lambda d: d.update({"lstm.car.0.weights": np.zeros(3)}), "lstm.car.0.weights"),
+            (
+                lambda d: d.update({f"lstm.car.0.w_{g}": d[f"lstm.car.0.w_{g}"].astype(np.float32) for g in "ifgo"}),
+                r"lstm\.car\.0\.weights: stored float32 .* expected float64",
+            ),
+            (lambda d: np.put(d["lstm.car.0.b_f"], 0, np.nan), r"lstm\.car\.0\.bias: holds a non-finite value"),
         ],
-        ids=["missing-gate", "gate-shape", "mixed-layouts"],
+        ids=["missing-gate", "gate-shape", "mixed-layouts", "gates-float32", "gate-nan"],
     )
     def test_schema_1_foreign_content_rejected_by_name(self, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"

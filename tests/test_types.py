@@ -117,3 +117,71 @@ def test_numpy_scalars_are_stored_as_python_numbers():
     assert type(config.batch_size) is int and type(config.step_size) is float and type(config.beta1) is int
     assert config.step_size == float(np.float32(0.3)) != 0.3
     assert SynthConfig(segment_frames=(np.int32(5), np.int64(9))).segment_frames == (5, 9)
+
+
+RANGED_CONFIGS = (ModelConfig, SynthConfig, TrainConfig)
+BOUND_KEYS = {"ge", "gt", "le", "lt"}
+
+
+def _default(f):
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+@pytest.mark.parametrize("cls", RANGED_CONFIGS)
+def test_every_number_field_declares_a_range(cls):
+    """An int, float or integer-tuple field without a declared bound fails here; only seeds take any integer."""
+    numeric = [f for f in fields(cls) if type(_default(f)) in (int, float, tuple)]
+    assert numeric
+    assert [f.name for f in numeric if f.name != "seed" and not BOUND_KEYS & f.metadata.keys()] == []
+
+
+def _declared_bounds():
+    """(cls, name, outside, edge) per declared bound: a value just outside it, and the bound itself,
+    or for a strict bound the nearest value inside it."""
+    for cls in RANGED_CONFIGS:
+        for f in fields(cls):
+            default = _default(f)
+            for key in sorted(BOUND_KEYS & f.metadata.keys()):
+                bound, up = f.metadata[key], key in ("le", "lt")
+                if isinstance(default, float):
+                    beyond = math.nextafter(bound, math.inf if up else -math.inf)
+                    inside = math.nextafter(bound, -math.inf if up else math.inf)
+                else:
+                    beyond, inside = (bound + 1, bound - 1) if up else (bound - 1, bound + 1)
+                outside, edge = (bound, inside) if key in ("gt", "lt") else (beyond, bound)
+                if isinstance(default, tuple):  # a tuple's bound holds for every item
+                    outside, edge = (outside,) * len(default), (edge,) * len(default)
+                yield pytest.param(cls, f.name, outside, edge, id=f"{cls.__name__}.{f.name}.{key}")
+
+
+@pytest.mark.parametrize("cls, name, outside, edge", _declared_bounds())
+def test_every_declared_bound_is_enforced(cls, name, outside, edge):
+    with pytest.raises(InvalidConfigError) as info:
+        cls(**{name: outside})
+    message = str(info.value)
+    assert message.startswith(f"{cls.__name__} field {name} must be ") and message.endswith(f", got {outside!r}")
+    assert getattr(cls(**{name: edge}), name) == edge
+
+
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        (TrainConfig, {"batch_size": 0}, "TrainConfig field batch_size must be >= 1, got 0"),
+        (TrainConfig, {"epsilon": 0.0}, "TrainConfig field epsilon must be > 0, got 0.0"),
+        (TrainConfig, {"beta2": 1}, "TrainConfig field beta2 must be in [0, 1), got 1"),
+        (SynthConfig, {"light_prob": 1.5}, "SynthConfig field light_prob must be in [0, 1], got 1.5"),
+        (SynthConfig, {"background_cars": (2, -1)}, "SynthConfig field background_cars must be >= 0, got (2, -1)"),
+        (
+            ModelConfig,
+            {"graph_widths": ()},
+            "ModelConfig field graph_widths must be a tuple of at least 1 integers, got ()",
+        ),
+        (ModelConfig, {"mlp_widths": (8,)}, "ModelConfig field mlp_widths must be a tuple of 2 integers, got (8,)"),
+    ],
+    ids=["ge", "gt", "half-open", "closed", "tuple-item", "min-length", "pair-length"],
+)
+def test_range_error_form(cls, values, message):
+    """Every range error reads "<Class> field <name> must be <range>, got <value>"."""
+    with pytest.raises(InvalidConfigError) as info:
+        cls(**values)
+    assert str(info.value) == message
