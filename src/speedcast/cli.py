@@ -30,7 +30,7 @@ from .model import (
 )
 from .seeding import derive_seed, order_seed, split_seed
 from .synth import SynthConfig, generate, write_logs
-from .train import TrainConfig, gradient_check, train_variant
+from .train import TrainConfig, gradient_check, train_variant, variant_config
 from .types import ACTION_NAMES, CategoryQuota
 
 MANIFEST_SCHEMA = "speedcast-manifest/1"
@@ -177,8 +177,9 @@ def run_train(
     """Train one variant on an archive; exit code 4 when a numeric fault aborted training."""
     progress = None if quiet else lambda e, tr, vl: print(f"epoch {e}: train {tr:.4f} val {vl:.4f}")
     dataset = ClipDataset.load(archive)
+    model = variant_config(dataset, variant, K)
     _make_out_dir(out)
-    best, report = train_variant(dataset, variant, K, seed, train_config, progress)
+    best, report = train_variant(dataset, model, seed, train_config, progress)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(best, ckpt)
     fault = report.fault

@@ -1,10 +1,10 @@
 """Parallel per-view LSTM encoders, MLP classifier, and full-model forward/backward.
 
-Every kernel computes in the dtype of its inputs. Parameters, checkpoints and
-inference are float64; training computes each batch in float32 on float64
-master weights (see `train.train`). The backward pass is hand-written reverse
-mode and is checked against central finite differences in float64 in the
-test suite.
+Every kernel computes in the dtype of its inputs. Parameters, checkpoints,
+single-clip inference and the rescoring pass of `evaluation.predict` are
+float64; training and `predict`'s bulk pass compute in float32 (see
+`train.train`). The backward pass is hand-written reverse mode and is checked
+against central finite differences in float64 in the test suite.
 """
 from __future__ import annotations
 
@@ -562,7 +562,9 @@ def _stack_v1_gates(tensors: dict[str, np.ndarray], params: ModelParams) -> None
                     raise InvalidRecordError(f"checkpoint tensors: unexpected {name} in a /1 file")
                 parts = [f"lstm.{view}.{i}.{field_name[0]}_{gate}" for gate in "ifgo"]
                 try:
-                    tensors[name] = np.concatenate([tensors.pop(part) for part in parts], axis=axis)
+                    # casting="no": a gate stored in another dtype must not be upcast to pass the dtype check.
+                    gates = [tensors.pop(part) for part in parts]
+                    tensors[name] = np.concatenate(gates, axis=axis, dtype=gates[0].dtype, casting="no")
                 except KeyError as exc:
                     raise InvalidRecordError(f"checkpoint tensors: missing {exc}") from exc
                 except (ValueError, TypeError) as exc:

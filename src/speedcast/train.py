@@ -257,11 +257,15 @@ def train(
     return best_snapshot, report
 
 
+def variant_config(dataset: ClipDataset, variant: str, K: int) -> ModelConfig:
+    """The checked ModelConfig of `variant` at `K` for `dataset`'s clips."""
+    return ModelConfig(T=dataset.T, FT=dataset.FT, K=K, quota=dataset.quota, variant=variant)
+
+
 def train_variant(
-    dataset: ClipDataset, variant: str, K: int, seed: int, config: TrainConfig, progress: Optional[Callable] = None
+    dataset: ClipDataset, model: ModelConfig, seed: int, config: TrainConfig, progress: Optional[Callable] = None
 ) -> tuple[ModelParams, TrainReport]:
-    """Build `variant` at `K` for `dataset`, initialise it from run seed `seed` and `train` it with `config`."""
-    model = ModelConfig(T=dataset.T, FT=dataset.FT, K=K, quota=dataset.quota, variant=variant)
+    """Initialise `model` from run seed `seed` and `train` it on `dataset` with `config`."""
     return train(dataset, init_params(model, seed=derive_seed(seed, "init", model.variant)), config, progress)
 
 

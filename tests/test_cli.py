@@ -392,6 +392,19 @@ def test_out_that_cannot_be_a_directory_fails_before_any_training(
     assert trained_models == []
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [(["--K", "-1"], "ModelConfig field K"), (["--variant", "nope"], "unknown variant 'nope'")],
+    ids=["K", "variant"],
+)
+def test_train_config_error_leaves_no_out_directory(trained, tmp_path, capsys, flags, named):
+    """A ModelConfig error exits 2 before --out is created."""
+    out = tmp_path / "y"
+    assert main(["train", "--archive", str(trained / "data" / "clips.npz"), "--out", str(out), *flags]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0

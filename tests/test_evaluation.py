@@ -1,4 +1,6 @@
 """Metrics, sweep harness, and results tables."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from speedcast.evaluation import (
     run_ablation,
     write_results_table,
 )
-from speedcast.model import init_params
+from speedcast.model import VARIANTS, init_params, model_forward
 from speedcast.seeding import split_seed
 from speedcast.train import TrainConfig
 from speedcast.types import CategoryQuota
@@ -70,6 +72,111 @@ class TestMetrics:
         batched = predict(params, feats, mask)
         monkeypatch.setattr(evaluation, "PREDICT_BATCH", 100)
         np.testing.assert_array_equal(batched, predict(params, feats, mask))
+
+
+def _spy_on_model_forward(monkeypatch):
+    """Record (features, params, probs) of every `model_forward` call `predict` makes."""
+    calls = []
+    real = evaluation.model_forward
+
+    def spy(features, mask, params, *rest):
+        out = real(features, mask, params, *rest)
+        calls.append((features, params, out[0]))
+        return out
+
+    monkeypatch.setattr(evaluation, "model_forward", spy)
+    return calls
+
+
+class TestFloat32Predict:
+    """`predict` runs in float32, rescores near-ties in float64, and equals the float64 argmax."""
+
+    @staticmethod
+    def _model(small_dataset, tiny_model_config, variant="full", K=1):
+        cfg = dataclasses.replace(tiny_model_config, T=small_dataset.T, FT=small_dataset.FT, K=K, variant=variant)
+        feats, mask, _ = small_dataset.subset(small_dataset.test_idx)
+        return init_params(cfg, seed=0), feats, mask
+
+    @staticmethod
+    def _float64_argmax(params, feats, mask):
+        return model_forward(feats, mask, params)[0].argmax(axis=1)
+
+    @staticmethod
+    def _tie_top_classes(params, offset):
+        """Make classes 0 and 1 the top two of every clip, their logits `offset` apart."""
+        c = params.classifier
+        c.w_out[:, 1] = c.w_out[:, 0]
+        c.b_out[:] = [10.0, 10.0 + offset, 0.0, 0.0]
+
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_float64_argmax(self, small_dataset, tiny_model_config, variant, K):
+        params, feats, mask = self._model(small_dataset, tiny_model_config, variant, K)
+        np.testing.assert_array_equal(predict(params, feats, mask), self._float64_argmax(params, feats, mask))
+
+    @pytest.mark.parametrize("variant", ["full", "base"])
+    def test_bulk_pass_computes_in_float32(self, small_dataset, tiny_model_config, monkeypatch, variant):
+        """Features, parameters and probabilities of the bulk pass stay float32 under either promotion rule."""
+        params, feats, mask = self._model(small_dataset, tiny_model_config, variant)
+        calls = _spy_on_model_forward(monkeypatch)
+        predict(params, feats, mask)
+        bulk = [call for call in calls if call[1] is not params]
+        assert len(bulk) == -(-len(feats) // evaluation.PREDICT_BATCH)
+        for features, fast, probs in bulk:
+            assert features.dtype == np.float32 and probs.dtype == np.float32
+            assert {a.dtype for _, a in fast.named_arrays()} == {np.dtype(np.float32)}
+
+    def test_exact_ties_are_all_rescored(self, small_dataset, tiny_model_config, monkeypatch):
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        self._tie_top_classes(params, 0.0)
+        calls = _spy_on_model_forward(monkeypatch)
+        preds = predict(params, feats, mask)
+        rescored = [features for features, p, _ in calls if p is params]
+        np.testing.assert_array_equal(np.concatenate(rescored), feats)
+        np.testing.assert_array_equal(preds, self._float64_argmax(params, feats, mask))
+
+    def test_near_ties_take_the_float64_class(self, small_dataset, tiny_model_config):
+        """A 1e-9 logit gap vanishes in float32 (a tie, argmax 0) but picks class 1 in float64."""
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        self._tie_top_classes(params, 1e-9)
+        preds = predict(params, feats, mask)
+        np.testing.assert_array_equal(preds, self._float64_argmax(params, feats, mask))
+        assert (preds == 1).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_float32_overflow_is_rescored(self, small_dataset, tiny_model_config):
+        """A bias past the float32 maximum makes the float32 probabilities NaN; float64 still ranks it."""
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        params.classifier.b_out[2] = 1e39
+        fast = params.clone(np.float32)
+        assert np.isnan(model_forward(feats.astype(np.float32), mask, fast)[0]).all()
+        preds = predict(params, feats, mask)
+        np.testing.assert_array_equal(preds, self._float64_argmax(params, feats, mask))
+        assert (preds == 2).all()
+
+    def test_rescoring_sees_only_the_near_tie_rows(self, small_dataset, tiny_model_config, monkeypatch):
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        top = np.sort(model_forward(feats.astype(np.float32), mask, params.clone(np.float32))[0], axis=1)
+        margins = top[:, -1] - top[:, -2]
+        monkeypatch.setattr(evaluation, "RESCORE_MARGIN", float(np.median(margins)))
+        monkeypatch.setattr(evaluation, "PREDICT_BATCH", 7)
+        near = np.flatnonzero(margins < evaluation.RESCORE_MARGIN)
+        assert 0 < len(near) < len(feats)
+        calls = _spy_on_model_forward(monkeypatch)
+        preds = predict(params, feats, mask)
+        rescored = [features for features, p, _ in calls if p is params]
+        np.testing.assert_array_equal(np.concatenate(rescored), feats[near])
+        np.testing.assert_array_equal(preds, self._float64_argmax(params, feats, mask))
+
+    def test_masters_stay_bit_identical_float64(self, small_dataset, tiny_model_config):
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        self._tie_top_classes(params, 1e-9)
+        before = {name: a.tobytes() for name, a in params.named_arrays()}
+        predict(params, feats, mask)
+        after = dict(params.named_arrays())
+        assert all(a.dtype == np.float64 for a in after.values())
+        assert {name: a.tobytes() for name, a in after.items()} == before
 
 
 class TestInferenceTiming:

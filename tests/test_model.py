@@ -544,8 +544,12 @@ class TestCheckpoint:
                 r"lstm\.car\.0\.weights: stored float32 .* expected float64",
             ),
             (lambda d: np.put(d["lstm.car.0.b_f"], 0, np.nan), r"lstm\.car\.0\.bias: holds a non-finite value"),
+            (
+                lambda d: d.update({"lstm.car.0.w_f": d["lstm.car.0.w_f"].astype(np.float32)}),
+                r"lstm\.car\.0\.w_f.*do not stack",
+            ),
         ],
-        ids=["missing-gate", "gate-shape", "mixed-layouts", "gates-float32", "gate-nan"],
+        ids=["missing-gate", "gate-shape", "mixed-layouts", "gates-float32", "gate-nan", "gates-mixed-dtypes"],
     )
     def test_schema_1_foreign_content_rejected_by_name(self, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"
