@@ -334,6 +334,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     quota = _parse_quota(args.quota)
     train_config = _train_config(args.train_config, args, args.variant)
+    ModelConfig(T=args.T, FT=args.FT, K=args.K, quota=quota, variant=args.variant)  # fails before anything is written
     run_synth(_synth_config(args.synth_config, args.seed), out / "logs")
     run_prepare(
         out / "logs", out / "dataset", args.T, args.FT, quota, args.seed, args.source_fps, args.target_fps

@@ -38,12 +38,12 @@ class MetricsReport:
         return int(self.class_counts.sum())
 
 
-# A forward pass holds its cache until it returns, about 0.23 MB per clip for
-# `full` in float64, so batches of 128 hold about 30 MB. With batches of 1024,
-# the 120 MB cache of a 523-clip split went back to the system after each call
-# and was page-faulted in again by the next one; in a fresh process that cost
-# ~22k minor faults and +35% time per call.
-PREDICT_BATCH = 128  # clips per forward pass of `predict`
+# `predict` keeps no backward cache, so one batch covers a default 527-538-clip
+# test split. On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31), 12 interleaved warm
+# calls on 527 `full` clips took a median 72-74 ms at 128 and 57-60 ms at 1024;
+# perfbench `train_full` read 12030 clips/s at 512 and 12290 at 1024 (4 runs
+# each), and fresh-process passes were no slower at 1024 than at 512.
+PREDICT_BATCH = 1024  # clips per forward pass of `predict`
 INFERENCE_REPEATS = 3  # timed full-set `predict` passes per `evaluate`
 # Clips whose float32 top-2 probability margin is below this are rescored in
 # float64. On every split of the `pipeline --seed 0 --max-epochs 3` checkpoint,
@@ -61,12 +61,12 @@ def predict(params: ModelParams, features: np.ndarray, mask: np.ndarray) -> np.n
     preds = np.empty(features.shape[0], dtype=np.int64)
     for lo in range(0, features.shape[0], PREDICT_BATCH):
         hi = lo + PREDICT_BATCH
-        probs, _, _ = model_forward(features[lo:hi].astype(COMPUTE_DTYPE), mask[lo:hi], fast)
+        probs, _, _ = model_forward(features[lo:hi].astype(COMPUTE_DTYPE), mask[lo:hi], fast, keep_cache=False)
         preds[lo:hi] = probs.argmax(axis=1)
         top = np.sort(probs, axis=1)
         near = lo + np.flatnonzero(~(top[:, -1] - top[:, -2] >= RESCORE_MARGIN))
         if near.size:
-            preds[near] = model_forward(features[near], mask[near], params)[0].argmax(axis=1)
+            preds[near] = model_forward(features[near], mask[near], params, keep_cache=False)[0].argmax(axis=1)
     return preds
 
 

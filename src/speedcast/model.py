@@ -447,7 +447,8 @@ def model_forward(
     mask: np.ndarray,
     params: ModelParams,
     windows: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, np.ndarray, Optional[dict]]:
     """Batched forward to (probs, logits, cache), on a frame table or on expanded clips.
 
     With `windows` (B, T), `features` (U, N, 4) and `mask` (U, N) are a table of
@@ -456,6 +457,10 @@ def model_forward(
     rows are gathered into the clips' steps. Without it, `features` (B, T, N, 4)
     and `mask` (B, T, N) are the clips' steps themselves, read as a table of
     B * T frames with `windows = arange(B * T).reshape(B, T)`.
+
+    With `keep_cache=False`, for inference, each view's graph and LSTM cache is
+    dropped once its output is taken and the cache returned is None; the
+    probabilities and logits are the same bits either way.
     """
     cfg = params.config
     n = cfg.quota.total
@@ -479,15 +484,18 @@ def model_forward(
         pooled = pooled[windows]
         vc = {"spatial": sc, "block": block}
         if cfg.temporal:
-            final, lc = lstm_forward(pooled, params.lstm[view])
-            vc["lstm"] = lc
+            final, vc["lstm"] = lstm_forward(pooled, params.lstm[view])
             parts.append(final)
         else:
             parts.append(pooled.reshape(len(windows), -1))
-        view_caches[view] = vc
+        if keep_cache:
+            view_caches[view] = vc
+        del pooled, sc, vc  # without keep_cache, freed before the next view runs
     v = np.concatenate(parts, axis=1)
     logits, mlp_cache = _mlp_forward(v, params.classifier)
     probs = softmax(logits)
+    if not keep_cache:
+        return probs, logits, None
     cache = {"views": view_caches, "mlp": mlp_cache, "windows": windows, "n_frames": len(features), "shape": shape}
     return probs, logits, cache
 

@@ -302,7 +302,7 @@ class TestTrainEvalCommands:
             return reports[-1]
 
         monkeypatch.setattr(cli, "evaluate", evaluate_spy)
-        monkeypatch.setattr(evaluation, "predict", lambda *args: passes.append(1) or real_predict(*args))
+        monkeypatch.setattr(evaluation, "predict", lambda *args, **kwargs: passes.append(1) or real_predict(*args, **kwargs))
         archive, checkpoint = trained / "data" / "clips.npz", trained / "model" / "checkpoint.npz"
         assert main(["eval", "--archive", str(archive), "--checkpoint", str(checkpoint)]) == 0
         assert len(reports) == 1 and len(passes) == evaluation.INFERENCE_REPEATS
@@ -392,15 +392,27 @@ def test_out_that_cannot_be_a_directory_fails_before_any_training(
     assert trained_models == []
 
 
-@pytest.mark.parametrize(
+model_config_errors = pytest.mark.parametrize(
     "flags,named",
     [(["--K", "-1"], "ModelConfig field K"), (["--variant", "nope"], "unknown variant 'nope'")],
     ids=["K", "variant"],
 )
+
+
+@model_config_errors
 def test_train_config_error_leaves_no_out_directory(trained, tmp_path, capsys, flags, named):
     """A ModelConfig error exits 2 before --out is created."""
     out = tmp_path / "y"
     assert main(["train", "--archive", str(trained / "data" / "clips.npz"), "--out", str(out), *flags]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@model_config_errors
+def test_pipeline_config_error_fails_before_synth(tmp_path, capsys, flags, named):
+    """`pipeline` checks its model flags before it generates logs or builds clips."""
+    out = tmp_path / "pk"
+    assert main(["pipeline", "--out", str(out), *flags]) == 2
     assert f"error: {named}" in capsys.readouterr().err
     assert not out.exists()
 

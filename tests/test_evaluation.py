@@ -79,8 +79,8 @@ def _spy_on_model_forward(monkeypatch):
     calls = []
     real = evaluation.model_forward
 
-    def spy(features, mask, params, *rest):
-        out = real(features, mask, params, *rest)
+    def spy(features, mask, params, *rest, **options):
+        out = real(features, mask, params, *rest, **options)
         calls.append((features, params, out[0]))
         return out
 
@@ -134,6 +134,22 @@ class TestFloat32Predict:
         rescored = [features for features, p, _ in calls if p is params]
         np.testing.assert_array_equal(np.concatenate(rescored), feats)
         np.testing.assert_array_equal(preds, self._float64_argmax(params, feats, mask))
+
+    def test_every_pass_keeps_no_cache(self, small_dataset, tiny_model_config, monkeypatch):
+        """The float32 bulk pass and the float64 rescoring pass both ask for no backward cache."""
+        params, feats, mask = self._model(small_dataset, tiny_model_config)
+        self._tie_top_classes(params, 0.0)  # every clip is rescored
+        options = []
+        real = evaluation.model_forward
+
+        def spy(*args, **kwargs):
+            options.append((args[2] is params, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "model_forward", spy)
+        predict(params, feats, mask)
+        assert {rescore for rescore, _ in options} == {False, True}
+        assert all(kwargs == {"keep_cache": False} for _, kwargs in options)
 
     def test_near_ties_take_the_float64_class(self, small_dataset, tiny_model_config):
         """A 1e-9 logit gap vanishes in float32 (a tie, argmax 0) but picks class 1 in float64."""

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,45 @@ class TestFrameTable:
         assert set(grads) == set(expected)
         for name, g in expected.items():
             assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+class TestCacheFreeForward:
+    """`keep_cache=False` returns no backward cache and changes no bit of the output."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_same_bits_as_the_cached_forward(self, variant, K, dtype):
+        cfg = ModelConfig(
+            T=3, K=K, quota=TINY_QUOTA, graph_widths=(4, 8), lstm_hidden=8,
+            mlp_widths=(8, 8), variant=variant,
+        )
+        params = init_params(cfg, seed=5).clone(dtype)
+        features, mask, _ = random_batch(cfg, batch=4, seed=5)
+        mask[0, 1, :] = False  # one frame with no real node in any view
+        features = features.astype(dtype)
+        frames, frame_mask = features[:2].reshape(6, -1, 4), mask[:2].reshape(6, -1)
+        windows = np.array([[0, 1, 2], [1, 2, 3], [3, 4, 5], [0, 1, 2]])  # overlapping and repeated clips
+        for args in ((features, mask, params), (frames, frame_mask, params, windows)):
+            probs, logits, cache = model_forward(*args)
+            free_probs, free_logits, no_cache = model_forward(*args, keep_cache=False)
+            assert cache is not None and no_cache is None
+            for free, kept in ((free_probs, probs), (free_logits, logits)):
+                assert free.dtype == kept.dtype == dtype and free.tobytes() == kept.tobytes()
+
+    def test_peak_memory_is_at_most_half(self):
+        """A 64-clip `full` forward at the paper's sizes, traced by tracemalloc."""
+        params = init_params(ModelConfig(), seed=0)
+        features, mask, _ = random_batch(params.config, batch=64, seed=0)
+        peaks = {}
+        for keep_cache in (True, False):
+            tracemalloc.start()
+            try:
+                model_forward(features, mask, params, keep_cache=keep_cache)
+                peaks[keep_cache] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= peaks[True] / 2, peaks
 
 
 def float_dtypes(obj, path="cache"):
