@@ -254,7 +254,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    sessions = load_sessions(args.logs)
     sweep = SweepSpec(
         T_set=tuple(args.T),
         FT_set=tuple(args.FT),
@@ -263,6 +262,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         quotas=(_parse_quota(args.quota),),
         seeds=(args.seed,),
     )
+    sessions = load_sessions(args.logs)
     train_config = _train_config(args.config, args, None)
     out = Path(args.out)
     _make_out_dir(out)

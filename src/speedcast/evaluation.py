@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, SpeedcastError
 from .ingest import ClipDataset, build_dataset
-from .model import VARIANTS, ModelParams, model_forward, normalize_variant
+from .model import VARIANTS, ModelConfig, ModelParams, model_forward, normalize_variant
 from .seeding import order_seed, split_seed
 from .train import COMPUTE_DTYPE, TrainConfig, TrainReport, train_variant, variant_config
 from .types import NUM_ACTIONS, CategoryQuota, FrameDetections, SensorSample
@@ -126,6 +126,9 @@ class SweepSpec:
             if not getattr(self, name):
                 raise InvalidConfigError(f"sweep set {name} must be non-empty")
         self.variants = tuple(map(normalize_variant, self.variants))
+        # ModelConfig declares the ranges; a value outside them fails the sweep, not each cell.
+        for variant, t, ft, k, quota, _ in self.cells():
+            ModelConfig(T=t, FT=ft, K=k, quota=quota, variant=variant)
 
     def cells(self):
         """(variant, T, FT, K, quota, seed) tuples, the last varying fastest."""

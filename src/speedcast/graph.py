@@ -230,22 +230,18 @@ def spatial_encode_forward(
         caches.append(cache)
     maxima = segments.max(h)
     pooled = segments.scatter(maxima)
-    cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima, "shape": x.shape}
+    cache = {"layers": caches, "segments": segments, "out": h, "maxima": maxima}
     return pooled.reshape(mask.shape[:-1] + (h.shape[-1],)), cache
 
 
 def spatial_encode_backward(
-    dpooled: np.ndarray,
-    cache: dict,
-    layers: list[ChebLayerParams],
-    want_input_grad: bool = True,
-) -> tuple[Optional[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-    """Backward of spatial_encode_forward.
+    dpooled: np.ndarray, cache: dict, layers: list[ChebLayerParams]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Backward of spatial_encode_forward: [(dweights, dbias) per layer, same order as forward].
 
     Each pooled coordinate's gradient goes to the lowest real node achieving
-    the max; a frame with no real node gets none. Returns (dx, [(dweights,
-    dbias) per layer, same order as forward]); dx is zero on padded slots,
-    and None when `want_input_grad` is False.
+    the max; a frame with no real node gets none. No gradient reaches the
+    input boxes: training and the gradient check read parameter gradients only.
     """
     segments = cache["segments"]
     out, maxima = cache["out"], cache["maxima"]
@@ -263,12 +259,6 @@ def spatial_encode_backward(
         free[: hi - lo] &= below
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for i in range(len(layers) - 1, -1, -1):
-        dy, dw, db = cheb_layer_backward(
-            dy, cache["layers"][i], layers[i], want_dh=i > 0 or want_input_grad
-        )
+        dy, dw, db = cheb_layer_backward(dy, cache["layers"][i], layers[i], want_dh=i > 0)
         grads[i] = (dw, db)
-    if not want_input_grad:
-        return None, grads
-    dx = np.zeros(cache["shape"][:-1] + (dy.shape[-1],), dtype=dy.dtype)
-    dx.reshape(-1, dy.shape[-1])[segments.rows] = dy
-    return dx, grads
+    return grads

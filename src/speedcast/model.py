@@ -91,7 +91,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        """Parse `to_json` output; any other payload or an invalid config raises InvalidRecordError.
+        """Parse `to_json` output; any other payload, an unknown key or an invalid config raises InvalidRecordError.
 
         The stored `activation` must be "relu": a checkpoint of a model with
         another nonlinearity cannot be run by this one.
@@ -106,6 +106,9 @@ class ModelConfig:
         missing = [name for name in names + ["activation"] if name not in d]
         if missing:
             raise InvalidRecordError(f"model config lacks {missing}")
+        unknown = sorted(d.keys() - {*names, "activation"})
+        if unknown:
+            raise InvalidRecordError(f"model config has unknown fields {unknown}")
         if d["activation"] != "relu":
             raise InvalidRecordError(f"model config activation {d['activation']!r} is not 'relu'")
         values = {name: tuple(d[name]) if isinstance(d[name], list) else d[name] for name in names}
@@ -469,9 +472,8 @@ def model_forward(
         raise ShapeError(f"features {features.shape} do not match config (T={cfg.T}, N={n})")
     if mask.shape != features.shape[:-1] or mask.dtype != np.bool_:
         raise ShapeError(f"mask {mask.dtype} {mask.shape} must be bool {features.shape[:-1]}")
-    shape = features.shape
     if windows is None:
-        windows = np.arange(shape[0] * cfg.T).reshape(shape[0], cfg.T)
+        windows = np.arange(len(features) * cfg.T).reshape(len(features), cfg.T)
         features, mask = features.reshape(-1, n, 4), mask.reshape(-1, n)
     elif windows.ndim != 2 or windows.shape[1] != cfg.T or windows.dtype.kind not in "iu":
         raise ShapeError(f"windows {windows.dtype} {windows.shape} must be (B, T={cfg.T}) integers")
@@ -482,7 +484,7 @@ def model_forward(
     for view, block in cfg.views():
         pooled, sc = spatial_encode_forward(features[:, block], mask[:, block], params.graph[view])
         pooled = pooled[windows]
-        vc = {"spatial": sc, "block": block}
+        vc = {"spatial": sc}
         if cfg.temporal:
             final, vc["lstm"] = lstm_forward(pooled, params.lstm[view])
             parts.append(final)
@@ -496,30 +498,24 @@ def model_forward(
     probs = softmax(logits)
     if not keep_cache:
         return probs, logits, None
-    cache = {"views": view_caches, "mlp": mlp_cache, "windows": windows, "n_frames": len(features), "shape": shape}
+    cache = {"views": view_caches, "mlp": mlp_cache, "windows": windows, "n_frames": len(features)}
     return probs, logits, cache
 
 
-def model_backward(
-    dlogits: np.ndarray,
-    cache: dict,
-    params: ModelParams,
-    want_input_grad: bool = False,
-) -> tuple[dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Reverse mode from logit gradients to every parameter tensor.
+def model_backward(dlogits: np.ndarray, cache: dict, params: ModelParams) -> dict[str, np.ndarray]:
+    """Reverse mode from logit gradients to every parameter tensor, keyed as `named_arrays`.
 
     Each frame's pooled gradient is the sum over the clip steps that read it,
-    added in `Segments.sum`'s order. The input gradient, when asked for, is
-    shaped like the `features` of the forward pass.
+    added in `Segments.sum`'s order. No gradient with respect to the input
+    frames is formed: nothing in training or the gradient check reads one.
     """
     cfg = params.config
-    n_frames = cache["n_frames"]
     dv, mlp_grads = _mlp_backward(dlogits, cache["mlp"], params.classifier)
     grads = {f"classifier.{k}": v for k, v in mlp_grads.items()}
-    dfeatures = np.zeros(cache["shape"], dtype=dv.dtype) if want_input_grad else None
-    frames = Segments.from_groups(cache["windows"].ravel(), n_frames)  # each frame's steps, shared by the views
+    # Each frame's steps, grouped once and shared by the views.
+    frames = Segments.from_groups(cache["windows"].ravel(), cache["n_frames"])
     offset = 0
-    for view, block in cfg.views():
+    for view, _ in cfg.views():
         dpart = dv[:, offset : offset + cfg.view_dim]
         offset += cfg.view_dim
         vc = cache["views"][view]
@@ -529,16 +525,12 @@ def model_backward(
             dsteps, lstm_grads = dpart, []
         dsteps = dsteps.reshape(-1, cfg.pooled_dim)
         dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
-        dx, graph_grads = spatial_encode_backward(
-            dpooled, vc["spatial"], params.graph[view], want_input_grad
-        )
+        graph_grads = spatial_encode_backward(dpooled, vc["spatial"], params.graph[view])
         for kind, layer_grads in (("graph", graph_grads), ("lstm", lstm_grads)):
             for i, (dw, dbias) in enumerate(layer_grads):
                 grads[f"{kind}.{view}.{i}.weights"] = dw
                 grads[f"{kind}.{view}.{i}.bias"] = dbias
-        if dfeatures is not None:
-            dfeatures.reshape(n_frames, -1, 4)[:, vc["block"]] += dx
-    return grads, dfeatures
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +575,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     """Rebuild the parameters `save_checkpoint` wrote, at this schema or at /1.
 
     A file that is not an `.npz` archive, an array numpy reads only by
-    unpickling, a missing field or tensor, a config that lacks a field, an
-    unexpected tensor, or a tensor of the wrong shape, not float64 or not
-    finite raises InvalidRecordError naming it.
+    unpickling, a missing field or tensor, a config that lacks a field or has an
+    unknown one, an unexpected tensor, or a tensor of the wrong shape, not
+    float64 or not finite raises InvalidRecordError naming it.
     """
     tensors = read_archive(path, "checkpoint")
     missing = [key for key in _CHECKPOINT_META if key not in tensors]

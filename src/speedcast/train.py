@@ -50,14 +50,14 @@ def loss_and_grads(
     mask: np.ndarray,
     labels: np.ndarray,
     params: ModelParams,
-    want_input_grad: bool = False,
     windows: Optional[np.ndarray] = None,
-) -> tuple[float, dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Mean batch loss, the gradient of every parameter tensor and, if wanted, of `features`.
+) -> tuple[float, dict[str, np.ndarray], None]:
+    """(mean batch loss, the gradient of every parameter tensor, None).
 
     The batch is a frame table with `windows` or expanded clips, as in
     `model_forward`. A non-finite gradient or loss raises NumericFaultError
-    naming the tensor, or "loss".
+    naming the tensor, or "loss". The third slot is always None: it stays
+    while perfbench's `warm_up` unpacks three values.
     """
     if len(labels) == 0:
         raise InvalidConfigError("empty batch")
@@ -66,13 +66,13 @@ def loss_and_grads(
     dlogits = probs.copy()
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
-    grads, dfeatures = model_backward(dlogits, cache, params, want_input_grad)
+    grads = model_backward(dlogits, cache, params)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericFaultError(f"non-finite gradient in {name}", tensor=name)
     if not np.isfinite(loss):
         raise NumericFaultError("non-finite loss", tensor="loss")
-    return loss, grads, dfeatures
+    return loss, grads, None  # perfbench/phases.py `warm_up` unpacks a 3-tuple
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,13 @@ def adam_step(
 class EarlyStopper:
     """Stop after `patience` epochs without an improvement larger than `min_delta`.
 
+    The values come from a `TrainConfig`, which checks their ranges.
+
     "Best" means the last epoch that actually improved by more than min_delta,
     so sub-threshold drift never moves the snapshot.
     """
 
-    def __init__(self, patience: int = 50, min_delta: float = 1e-6):
-        if patience < 1:
-            raise InvalidConfigError(f"patience must be >= 1, got {patience}")
+    def __init__(self, patience: int, min_delta: float):
         self.patience = patience
         self.min_delta = min_delta
         self.best_loss = np.inf

@@ -92,6 +92,14 @@ class TestPrepareCommand:
             err = capsys.readouterr().err
             assert f"--quota expects three positive counts car,ped,traffic, got {quota!r}" in err
 
+    @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0"])
+    def test_sweep_value_outside_model_range_fails_before_out(self, logs_dir, tmp_path, capsys, flag):
+        """A sweep value ModelConfig rejects exits 2 and writes nothing, not a table of failed cells."""
+        out = tmp_path / "out"
+        assert main(["ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base", flag]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
+        assert not out.exists()
+
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
         assert rc == 3
@@ -339,6 +347,15 @@ class TestTrainEvalCommands:
         assert rc == 3
         assert "lacks ['T']" in capsys.readouterr().err
 
+    def test_eval_checkpoint_config_with_unknown_key_is_record_error(self, trained, tmp_path, capsys):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            payload = {k: data[k] for k in data.files}
+        payload["config"] = np.array(json.dumps(json.loads(str(payload["config"])) | {"dropout": 0.5}))
+        np.savez(tmp_path / "checkpoint.npz", **payload)
+        archive = trained / "data" / "clips.npz"
+        assert main(["eval", "--archive", str(archive), "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 3
+        assert "model config has unknown fields ['dropout']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit, named",
         [
@@ -443,9 +460,9 @@ class TestGradcheckCommand:
         real = train_module.loss_and_grads
 
         def halved(*args, **kwargs):
-            loss, grads, dfeatures = real(*args, **kwargs)
+            loss, grads, _ = real(*args, **kwargs)
             grads["lstm.car.0.bias"] = grads["lstm.car.0.bias"] * 0.5
-            return loss, grads, dfeatures
+            return loss, grads, None
 
         monkeypatch.setattr(train_module, "loss_and_grads", halved)
         assert main(["gradcheck", "--seed", "0"]) == 5
@@ -500,6 +517,14 @@ class TestAblateCommand:
         err = capsys.readouterr().err
         assert f"error: train config {config} sets seed; ablate derives every seed from --seed" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0"])
+    def test_sweep_value_outside_model_range_fails_before_out(self, logs_dir, tmp_path, capsys, flag):
+        """A sweep value ModelConfig rejects exits 2 and writes nothing, not a table of failed cells."""
+        out = tmp_path / "out"
+        assert main(["ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base", flag]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
+        assert not out.exists()
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(

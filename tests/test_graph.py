@@ -199,20 +199,21 @@ class TestMaskedPooling:
                 )
 
     def test_backward_routes_to_lowest_achieving_row(self):
-        y = np.array([[[[3.0], [3.0], [1.0]]]])
+        """Rows 0 and 1 tie in column 0 and differ in column 1, where dW = x^T dy shows which took it."""
+        y = np.array([[[[3.0, 1.0], [3.0, 2.0], [1.0, 0.5]]]])
         mask = np.ones((1, 1, 3), dtype=bool)
-        layers = pool_only(1)
+        layers = pool_only(2)
         _, cache = spatial_encode_forward(y, mask, layers)
-        dy, _ = spatial_encode_backward(np.array([[[2.0]]]), cache, layers)
-        np.testing.assert_array_equal(dy[0, 0, :, 0], [2.0, 0.0, 0.0])
+        [(dw, db)] = spatial_encode_backward(np.array([[[2.0, 0.0]]]), cache, layers)
+        np.testing.assert_array_equal(dw[0], [[6.0, 0.0], [2.0, 0.0]])  # 2 * row 0, not 2 * row 1
+        np.testing.assert_array_equal(db, [2.0, 0.0])
 
     def test_backward_zero_for_all_padded(self):
         y = np.ones((1, 1, 3, 2))
         mask = np.zeros((1, 1, 3), dtype=bool)
         layers = pool_only(2)
         _, cache = spatial_encode_forward(y, mask, layers)
-        dy, grads = spatial_encode_backward(np.ones((1, 1, 2)), cache, layers)
-        assert np.all(dy == 0.0)
+        grads = spatial_encode_backward(np.ones((1, 1, 2)), cache, layers)
         assert all(np.all(dw == 0.0) and np.all(db == 0.0) for dw, db in grads)
 
 
@@ -247,15 +248,9 @@ def test_ragged_encoder_matches_dense_oracle_and_finite_differences(case):
     def objective():
         return float((spatial_encode_forward(x, mask, layers)[0] * dpooled).sum())
 
-    dx, grads = spatial_encode_backward(dpooled, cache, layers)
-    assert np.all(dx[~mask] == 0.0)
-    no_dx, same_grads = spatial_encode_backward(dpooled, cache, layers, want_input_grad=False)
-    assert no_dx is None
-    for (dw, db), (dw2, db2) in zip(grads, same_grads):
-        np.testing.assert_array_equal(dw, dw2)
-        np.testing.assert_array_equal(db, db2)
+    grads = spatial_encode_backward(dpooled, cache, layers)
     pairs = [pair for layer, (dw, db) in zip(layers, grads) for pair in ((layer.weights, dw), (layer.bias, db))]
-    assert max(central_difference_errors(objective, pairs + [(x, dx)])) < 1e-6
+    assert max(central_difference_errors(objective, pairs)) < 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -325,23 +320,30 @@ def test_rank_major_encoder_matches_dense_oracle(mask, seed):
 @settings(max_examples=40, deadline=None)
 @given(rank_major_masks(), st.integers(min_value=0, max_value=2**16))
 def test_rank_major_pool_routes_to_lowest_tied_node(mask, seed):
-    """Each pooled gradient reaches the lowest real node holding the max, ties at any rank included."""
+    """Each pooled gradient reaches the lowest real node holding the max, ties at any rank included.
+
+    The routing shows in dW = x^T dy of a pool-only layer: a tied node that
+    differs in another column adds another row. All values are small
+    multiples of 1/2, so every sum is exact in any order.
+    """
     rng = np.random.default_rng(seed)
     width = 3
     x = rng.integers(1, 4, size=mask.shape + (width,)) / 2.0  # three positive levels: ties everywhere
     for idx in np.ndindex(*mask.shape[:-1]):
         nodes = np.flatnonzero(mask[idx])
         x[idx][nodes[1:3], 0] = 2.0  # the max of column 0 tied at ranks 1 and 2
+        x[idx][nodes[2:3], 1] = x[idx][nodes[1:2], 1] + 0.5  # and the tied nodes differ in column 1
     x[~mask] = 0.0
     layers = pool_only(width)
     pooled, cache = spatial_encode_forward(x, mask, layers)
     np.testing.assert_array_equal(pooled, dense_encode(x, mask, layers))
-    dpooled = rng.normal(size=mask.shape[:-1] + (width,))
-    dx, _ = spatial_encode_backward(dpooled, cache, layers)
-    expected = np.zeros_like(x)
+    dpooled = rng.integers(1, 8, size=mask.shape[:-1] + (width,)).astype(float)
+    [(dw, db)] = spatial_encode_backward(dpooled, cache, layers)
+    routed = np.zeros_like(x)
     for idx in np.ndindex(*mask.shape[:-1]):
         nodes = np.flatnonzero(mask[idx])
         if nodes.size:
             first = nodes[np.argmax(x[idx][nodes], axis=0)]  # argmax takes the first of equal values
-            expected[idx][first, np.arange(width)] = dpooled[idx]
-    np.testing.assert_array_equal(dx, expected)
+            routed[idx][first, np.arange(width)] = dpooled[idx]
+    np.testing.assert_array_equal(dw[0], x.reshape(-1, width).T @ routed.reshape(-1, width))
+    np.testing.assert_array_equal(db, routed.reshape(-1, width).sum(axis=0))

@@ -337,16 +337,14 @@ class TestFrameTable:
     @settings(max_examples=40, deadline=None)
     @given(frame_table_batches())
     def test_gradients_match_expanded_clips(self, case):
-        """Each frame's gradient is the sum over the steps that read it, to rounding."""
+        """Each frame's pooled gradient is the sum over the steps that read it, so the parameter
+        gradients equal the expanded clips' to rounding."""
         params, frames, frame_mask, windows = case
         probs, _, cache = model_forward(frames, frame_mask, params, windows)
-        grads, dframes = model_backward(probs, cache, params, want_input_grad=True)
+        grads = model_backward(probs, cache, params)
         probs, _, cache = model_forward(frames[windows], frame_mask[windows], params)
-        expected, dclips = model_backward(probs, cache, params, want_input_grad=True)
-        expected_dframes = np.zeros_like(frames)
-        np.add.at(expected_dframes, windows, dclips)
-        expected["frames"], grads["frames"] = expected_dframes, dframes
-        assert set(grads) == set(expected)
+        expected = model_backward(probs, cache, params)
+        assert set(grads) == set(expected) == set(params.arrays())
         for name, g in expected.items():
             assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
@@ -420,8 +418,8 @@ class TestFloat32Compute:
         features, mask, _ = random_batch(cfg, batch=4, seed=3)
         mask[0, 1, :] = False  # one frame with no real node in any view
         probs, logits, cache = model_forward(features.astype(np.float32), mask, params)
-        grads, dfeatures = model_backward(probs, cache, params, want_input_grad=True)
-        outputs = {"probs": probs, "logits": logits, "dfeatures": dfeatures, "grads": grads}
+        grads = model_backward(probs, cache, params)
+        outputs = {"probs": probs, "logits": logits, "grads": grads}
         promoted = [
             (path, dtype)
             for path, dtype in [*float_dtypes(cache), *float_dtypes(outputs, "out")]
@@ -531,6 +529,10 @@ class TestCheckpoint:
             (lambda d: d.update({"config": edit_config(d["config"], quota=[3.5, 2, 1])}), "CategoryQuota field n_car"),
             (lambda d: d.update({"config": edit_config(d["config"], quota=[True, 2, 1])}), "CategoryQuota field n_car"),
             (lambda d: d.update({"config": edit_config(d["config"], quota=[3, 2])}), r"quota \[3, 2\]"),
+            (
+                lambda d: d.update({"config": edit_config(d["config"], dropout=0.5, Activation="relu")}),
+                r"unknown fields \['Activation', 'dropout'\]",
+            ),
             # ReLU is the model's only nonlinearity: a config naming none or another is foreign.
             (lambda d: d.update({"config": drop_config_field(d["config"], "activation")}), r"lacks \['activation'\]"),
             (lambda d: d.update({"config": edit_config(d["config"], activation="identity")}), "'identity' is not 'relu'"),
@@ -554,7 +556,7 @@ class TestCheckpoint:
         ids=[
             "missing", "extra", "shape", "dtype", "metadata", "seed-string", "seed-vector", "config-field", "config-json",
             "config-type", "config-mlp-depth", "config-T", "config-lstm-hidden", "config-float-size",
-            "config-quota-float", "config-quota-bool", "config-quota-length",
+            "config-quota-float", "config-quota-bool", "config-quota-length", "config-unknown-keys",
             "config-activation-missing", "config-activation-identity", "config-activation-null",
             "object-tensor", "tensor-float32", "all-float16", "tensor-nan", "tensor-inf",
         ],

@@ -204,10 +204,6 @@ class TestEarlyStopper:
             stopper.update(1.0 / epoch, epoch)
             assert not stopper.should_stop
 
-    def test_patience_validated(self):
-        with pytest.raises(InvalidConfigError):
-            EarlyStopper(patience=0)
-
 
 class TestTrainConfig:
     def test_defaults_match_stated_hyperparameters(self):
