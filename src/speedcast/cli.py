@@ -44,6 +44,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, value: object) -> None:
+    """Write `value` to `path` as JSON indented by 2, with a final newline."""
+    path.write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed: int, artifacts: dict[str, Path]) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -55,9 +60,7 @@ def _write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed: in
             name: {"path": str(path), "sha256": _sha256(path)} for name, path in artifacts.items()
         },
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    _write_json(out_dir / "run_manifest.json", manifest)
 
 
 def _make_out_dir(out: Path) -> None:
@@ -145,8 +148,9 @@ def run_prepare(
     target_fps: float,
 ) -> None:
     sessions = load_sessions(logs, source_fps, target_fps)
-    _make_out_dir(out)
+    # Building checks T and FT and writes nothing, so a bad value leaves no --out behind.
     dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=split_seed(seed))
+    _make_out_dir(out)
     archive = out / "clips.npz"
     dataset.save(archive)
     hist = np.bincount(dataset.labels, minlength=4)
@@ -184,21 +188,18 @@ def run_train(
     save_checkpoint(best, ckpt)
     fault = report.fault
     report_path = out / "train_report.json"
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "stop_epoch": report.stop_epoch,
-                "best_epoch": report.best_epoch,
-                "best_val_loss": report.best_val_loss,
-                "aborted": report.aborted,
-                "fault": None if fault is None else {
-                    "epoch": fault.epoch, "batch": fault.batch, "tensor": fault.tensor, "message": str(fault),
-                },
+    _write_json(
+        report_path,
+        {
+            "stop_epoch": report.stop_epoch,
+            "best_epoch": report.best_epoch,
+            "best_val_loss": report.best_val_loss,
+            "aborted": report.aborted,
+            "fault": None if fault is None else {
+                "epoch": fault.epoch, "batch": fault.batch, "tensor": fault.tensor, "message": str(fault),
             },
-            handle,
-            indent=2,
-        )
-        handle.write("\n")
+        },
+    )
     metrics_path = out / "train_metrics.csv"
     with open(metrics_path, "w", encoding="utf-8") as handle:
         handle.write("epoch,train_loss,val_loss,seconds\n")
@@ -218,9 +219,19 @@ def run_train(
     return 4 if report.aborted else 0
 
 
+def _clip_settings(clips: ClipDataset | ModelConfig) -> str:
+    """The clip settings of an archive or a model, spelled like the `prepare` flags."""
+    return f"T={clips.T} FT={clips.FT} quota={','.join(map(str, dataclasses.astuple(clips.quota)))}"
+
+
 def run_eval(archive: Path, checkpoint: Path, split: str) -> None:
     dataset = ClipDataset.load(archive)
     params = load_checkpoint(checkpoint)
+    built, given = _clip_settings(params.config), _clip_settings(dataset)
+    if built != given:
+        raise InvalidRecordError(
+            f"checkpoint {checkpoint} was trained on clips of {built}, but archive {archive} holds clips of {given}"
+        )
     idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}[split]
     feats, mask, labels = dataset.subset(idx)
     metrics = evaluate(params, feats, mask, labels)

@@ -10,7 +10,7 @@ import json
 import math
 import warnings
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -39,12 +39,13 @@ CLIPSET_SCHEMA = "speedcast-clipset/2"
 # Schema /1 stored every clip's T frames in its own rows of `features` and `mask`.
 _CLIPSET_SCHEMA_V1 = "speedcast-clipset/1"
 _CLIPSET_SHARED_KEYS = (
-    "schema", "labels", "sessions", "anchors", "scenarios", "dims",
+    "labels", "sessions", "anchors", "scenarios", "dims",
     "quota", "train_idx", "val_idx", "test_idx", "norm_mean", "norm_std",
 )
+# Each schema's arrays in the order its `save` writes them; the order fixes the archive's bytes.
 _CLIPSET_KEYS = {
-    CLIPSET_SCHEMA: ("frames", "frame_mask", "windows", *_CLIPSET_SHARED_KEYS),
-    _CLIPSET_SCHEMA_V1: ("features", "mask", *_CLIPSET_SHARED_KEYS),
+    CLIPSET_SCHEMA: ("schema", "frames", "frame_mask", "windows", *_CLIPSET_SHARED_KEYS),
+    _CLIPSET_SCHEMA_V1: ("schema", "features", "mask", *_CLIPSET_SHARED_KEYS),
 }
 
 
@@ -316,27 +317,13 @@ class ClipDataset:
         return self.frames[steps], self.frame_mask[steps], self.labels[idx]
 
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path,
-            schema=np.array(CLIPSET_SCHEMA),
-            frames=self.frames,
-            frame_mask=self.frame_mask,
-            windows=self.windows,
-            labels=self.labels,
-            sessions=self.sessions,
-            anchors=self.anchors,
-            scenarios=self.scenarios,
-            dims=np.array([self.T, self.FT], dtype=np.int64),
-            quota=np.array(
-                [self.quota.n_car, self.quota.n_pedestrian, self.quota.n_traffic],
-                dtype=np.int64,
-            ),
-            train_idx=self.train_idx,
-            val_idx=self.val_idx,
-            test_idx=self.test_idx,
-            norm_mean=self.norm_mean,
-            norm_std=self.norm_std,
-        )
+        header = {
+            "schema": np.array(CLIPSET_SCHEMA),
+            "dims": np.array([self.T, self.FT], dtype=np.int64),
+            "quota": np.array(astuple(self.quota), dtype=np.int64),
+        }
+        keys = _CLIPSET_KEYS[CLIPSET_SCHEMA]
+        np.savez_compressed(path, **{key: header[key] if key in header else getattr(self, key) for key in keys})
 
     @classmethod
     def load(cls, path: str | Path) -> "ClipDataset":
@@ -558,6 +545,28 @@ def _read_jsonl(
     return sessions
 
 
+def frame_record(session: str, frame: FrameDetections) -> dict:
+    """The detection-log record of `frame` in `session`, as `_parse_frame` reads it."""
+    return {
+        "session": session,
+        "frame_index": frame.frame_index,
+        "timestamp": frame.timestamp,
+        "width": frame.image_width,
+        "height": frame.image_height,
+        "objects": [
+            {
+                "category": o.category,
+                "x1": o.bbox[0],
+                "y1": o.bbox[1],
+                "x2": o.bbox[2],
+                "y2": o.bbox[3],
+                "confidence": o.confidence,
+            }
+            for o in frame.objects
+        ],
+    }
+
+
 def _parse_frame(rec: dict) -> FrameDetections:
     if not isinstance(rec["objects"], list):
         raise InvalidRecordError(f"objects must be a list, got {rec['objects']!r}")
@@ -570,6 +579,19 @@ def _parse_frame(rec: dict) -> FrameDetections:
     )
     frame.validate()
     return frame
+
+
+def sensor_record(session: str, sample: SensorSample) -> dict:
+    """The sensor-log record of `sample` in `session`, as `_parse_sensor` reads it."""
+    return {
+        "session": session,
+        "frame_index": sample.frame_index,
+        "brake_kpa": sample.brake_pressure,
+        "accel_pct": sample.accel_pedal,
+        "steer_deg": sample.steering_angle,
+        "scenario": sample.scenario,
+        "is_moving": sample.is_moving,
+    }
 
 
 def _parse_sensor(rec: dict) -> SensorSample:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .ingest import ACCEL_THRESHOLD_PCT, BRAKE_THRESHOLD_KPA
+from .ingest import ACCEL_THRESHOLD_PCT, BRAKE_THRESHOLD_KPA, frame_record, sensor_record
 from .seeding import derive_seed
 from .types import Action, DetectedObject, FrameDetections, SensorSample, check_field_types
 
@@ -336,49 +336,9 @@ def write_logs(result: SynthResult, out_dir: str | Path) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     det_path = out / "detections.jsonl"
     sen_path = out / "sensors.jsonl"
-    with open(det_path, "w", encoding="utf-8") as det:
+    with open(det_path, "w", encoding="utf-8") as det, open(sen_path, "w", encoding="utf-8") as sen:
         for name in sorted(result.sessions):
-            frames, _ = result.sessions[name]
-            for frame in frames:
-                det.write(
-                    json.dumps(
-                        {
-                            "session": name,
-                            "frame_index": frame.frame_index,
-                            "timestamp": frame.timestamp,
-                            "width": frame.image_width,
-                            "height": frame.image_height,
-                            "objects": [
-                                {
-                                    "category": o.category,
-                                    "x1": o.bbox[0],
-                                    "y1": o.bbox[1],
-                                    "x2": o.bbox[2],
-                                    "y2": o.bbox[3],
-                                    "confidence": o.confidence,
-                                }
-                                for o in frame.objects
-                            ],
-                        }
-                    )
-                    + "\n"
-                )
-    with open(sen_path, "w", encoding="utf-8") as sen:
-        for name in sorted(result.sessions):
-            _, sensors = result.sessions[name]
-            for s in sensors:
-                sen.write(
-                    json.dumps(
-                        {
-                            "session": name,
-                            "frame_index": s.frame_index,
-                            "brake_kpa": s.brake_pressure,
-                            "accel_pct": s.accel_pedal,
-                            "steer_deg": s.steering_angle,
-                            "scenario": s.scenario,
-                            "is_moving": s.is_moving,
-                        }
-                    )
-                    + "\n"
-                )
+            frames, sensors = result.sessions[name]
+            det.writelines(json.dumps(frame_record(name, frame)) + "\n" for frame in frames)
+            sen.writelines(json.dumps(sensor_record(name, sample)) + "\n" for sample in sensors)
     return det_path, sen_path

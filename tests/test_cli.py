@@ -100,6 +100,17 @@ class TestPrepareCommand:
         assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,named",
+        [("--T=0", "history length T must be >= 1"), ("--FT=0", "future offset FT must be >= 1")],
+        ids=["T", "FT"],
+    )
+    def test_clip_setting_error_leaves_no_out_directory(self, logs_dir, tmp_path, capsys, flag, named):
+        out = tmp_path / "out"
+        assert main(["prepare", "--logs", str(logs_dir), "--out", str(out), flag]) == 2
+        assert f"error: {named}, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
         assert rc == 3
@@ -318,6 +329,27 @@ class TestTrainEvalCommands:
         assert f"accuracy: {reports[0].accuracy:.2f}" in out
         assert f"inference: {reports[0].per_clip_us:.1f} us/clip" in out
 
+    @pytest.mark.parametrize(
+        "flags,given",
+        [
+            (["--FT", "2"], "T=4 FT=2 quota=3,2,1"),
+            (["--quota", "2,3,1"], "T=4 FT=1 quota=2,3,1"),  # the same slot total
+            (["--T", "5"], "T=5 FT=1 quota=3,2,1"),
+        ],
+        ids=["FT", "quota", "T"],
+    )
+    def test_eval_on_clips_of_other_settings_is_record_error(self, trained, logs_dir, tmp_path, capsys, flags, given):
+        """`eval` refuses an archive whose T, FT or quota differ from the checkpoint's before it predicts."""
+        prepare = ["prepare", "--logs", str(logs_dir), "--out", str(tmp_path), "--T", "4", "--quota", "3,2,1"]
+        assert main([*prepare, *flags]) == 0
+        capsys.readouterr()
+        checkpoint = trained / "model" / "checkpoint.npz"
+        assert main(["eval", "--archive", str(tmp_path / "clips.npz"), "--checkpoint", str(checkpoint)]) == 3
+        captured = capsys.readouterr()
+        assert f"error: checkpoint {checkpoint} was trained on clips of T=4 FT=1 quota=3,2,1, but " in captured.err
+        assert f"holds clips of {given}" in captured.err
+        assert "accuracy:" not in captured.out
+
     def test_eval_checkpoint_missing_tensor_is_record_error(self, trained, tmp_path, capsys):
         with np.load(trained / "model" / "checkpoint.npz") as data:
             payload = {k: data[k] for k in data.files if k != "classifier.b1"}
@@ -434,10 +466,19 @@ def test_pipeline_config_error_fails_before_synth(tmp_path, capsys, flags, named
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def gradcheck_seed0():
+    """The exit code and printed output of one `gradcheck --seed 0`."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        rc = main(["gradcheck", "--seed", "0"])
+    return rc, printed.getvalue()
+
+
 class TestGradcheckCommand:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert main(["gradcheck", "--seed", "0"]) == 0
-        assert "gradient check passed" in capsys.readouterr().out
+    def test_passes_at_default_tolerance(self, gradcheck_seed0):
+        rc, out = gradcheck_seed0
+        assert rc == 0
+        assert "gradient check passed" in out
 
     def test_impossible_tolerance_exits_five(self):
         assert main(["gradcheck", "--seed", "0", "--tolerance=-1"]) == 5
@@ -449,9 +490,10 @@ class TestGradcheckCommand:
         assert f"error: --tolerance must be a finite number, got {value}" in captured.err
         assert "passed" not in captured.out
 
-    def test_reports_a_nonzero_normwise_error_per_tensor(self, capsys):
-        assert main(["gradcheck", "--seed", "0"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    def test_reports_a_nonzero_normwise_error_per_tensor(self, gradcheck_seed0):
+        rc, out = gradcheck_seed0
+        assert rc == 0
+        rows = [line.split() for line in out.splitlines() if line.startswith("  ")]
         assert len(rows) == 30  # every tensor of the gradcheck model
         for name, worst, normwise in rows:
             assert 0.0 < float(normwise) < 1e-4, name

@@ -14,6 +14,8 @@ from speedcast.cli import main
 
 from speedcast.errors import DataAlignmentError, InvalidConfigError, InvalidRecordError
 from speedcast.ingest import (
+    _CLIPSET_KEYS,
+    CLIPSET_SCHEMA,
     ClipDataset,
     assemble_clips,
     build_dataset,
@@ -301,6 +303,12 @@ class TestArchiveRoundTrip:
         np.testing.assert_array_equal(loaded.norm_std, small_dataset.norm_std)
         assert loaded.T == small_dataset.T
         assert loaded.quota == small_dataset.quota
+
+    def test_arrays_are_saved_in_declared_order(self, small_dataset, tmp_path):
+        path = tmp_path / "clips.npz"
+        small_dataset.save(path)
+        with np.load(path) as data:
+            assert data.files == list(_CLIPSET_KEYS[CLIPSET_SCHEMA])
 
     def test_long_session_name_survives_round_trip(self, small_synth, tmp_path):
         name = "x" * 70
