@@ -232,7 +232,8 @@ def run_eval(archive: Path, checkpoint: Path, split: str) -> None:
         raise InvalidRecordError(
             f"checkpoint {checkpoint} was trained on clips of {built}, but archive {archive} holds clips of {given}"
         )
-    idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}[split]
+    # The training split holds oversampled repeats; each distinct clip is scored once.
+    idx = {"train": np.unique(dataset.train_idx), "val": dataset.val_idx, "test": dataset.test_idx}[split]
     feats, mask, labels = dataset.subset(idx)
     metrics = evaluate(params, feats, mask, labels)
     for name, recall in zip(ACTION_NAMES, metrics.recalls):

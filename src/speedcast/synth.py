@@ -10,6 +10,11 @@ In confound mode the same car kinematics map to opposite actions, with a
 traffic-view cue object carrying the disambiguating bit. A car-only model
 then faces an irreducible two-way ambiguity while the multi-view model does
 not.
+
+A session's segment plan is drawn one segment at a time. All draws of its
+frames then come from one `rng.uniform` call with per-draw bounds, in the order
+a frame-by-frame loop makes them (`tests/oracles.py` keeps that loop as the
+reference), and boxes, confidences and pedals are computed as arrays.
 """
 from __future__ import annotations
 
@@ -114,52 +119,49 @@ def oracle_label(state: LatentState, confound: bool = False) -> Optional[Action]
     return action
 
 
-def _pedals(action: Optional[Action], scenario: str, rng: np.random.Generator) -> tuple[float, float]:
-    """(brake_kpa, accel_pct) realizing the action with margin to the thresholds."""
-    if action is None:
-        return 0.0, 0.0
-    u = rng.uniform()
-    if action is Action.FULL_BRAKING:
-        return BRAKE_THRESHOLD_KPA[scenario] * (1.25 + 0.15 * u), 0.0
-    if action is Action.SLIGHT_BRAKING:
-        return BRAKE_THRESHOLD_KPA[scenario] * (0.45 + 0.15 * u), 0.0
-    if action is Action.FULL_ACCELERATION:
-        return 0.0, min(95.0, ACCEL_THRESHOLD_PCT[scenario] + 6.0 + 4.0 * u)
-    return 0.0, max(2.0, ACCEL_THRESHOLD_PCT[scenario] - 9.0 + 4.0 * u)
+def _pedals(
+    actions: list[Optional[Action]], scenario: str, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(brake_kpa, accel_pct) per frame realizing each action with margin to the thresholds.
 
-
-def _project_car(distance: float, lateral_px: float) -> tuple[float, float, float, float]:
-    """Pinhole-ish projection: nearer cars are larger and lower in frame."""
-    h = min(450.0, 2600.0 / max(distance, 4.0))
-    w = 1.5 * h
-    y2 = min(IMAGE_H - 2.0, 350.0 + 1400.0 / max(distance, 4.0))
-    y1 = max(1.0, y2 - h)
-    cx = IMAGE_W / 2.0 + lateral_px
-    x1 = max(1.0, cx - w / 2.0)
-    x2 = min(IMAGE_W - 1.0, max(x1 + 4.0, cx + w / 2.0))
-    return x1, y1, x2, y2
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    """`float(np.clip(x, lo, hi))` for Python floats, without a numpy call per value.
-
-    Bit for bit the same. Where x is a zero that ties a zero bound of the other
-    sign it returns x, as numpy 2.4 does; older numpy may return the bound.
+    `u` holds each frame's pedal draw in [0, 1); frames without an action (None) read
+    0.0 on both pedals and ignore theirs.
     """
-    return float(min(max(x, lo), hi))
+    code = np.array([-1 if a is None else int(a) for a in actions])
+    brake_kpa, accel_pct = BRAKE_THRESHOLD_KPA[scenario], ACCEL_THRESHOLD_PCT[scenario]
+    brake = np.select(
+        [code == Action.FULL_BRAKING, code == Action.SLIGHT_BRAKING],
+        [brake_kpa * (1.25 + 0.15 * u), brake_kpa * (0.45 + 0.15 * u)],
+        0.0,
+    )
+    accel = np.select(
+        [code == Action.FULL_ACCELERATION, code == Action.SLIGHT_ACCELERATION],
+        [np.minimum(95.0, accel_pct + 6.0 + 4.0 * u), np.maximum(2.0, accel_pct - 9.0 + 4.0 * u)],
+        0.0,
+    )
+    return brake, accel
 
 
-def _jitter_box(
-    box: tuple[float, float, float, float], jitter: float, rng: np.random.Generator
-) -> tuple[float, float, float, float]:
-    if jitter <= 0:
-        return box
-    x1, y1, x2, y2 = (v + rng.uniform(-jitter, jitter) for v in box)
-    x1 = _clamp(x1, 0.0, IMAGE_W - 2.0)
-    y1 = _clamp(y1, 0.0, IMAGE_H - 2.0)
-    x2 = _clamp(x2, x1 + 1.0, IMAGE_W)
-    y2 = _clamp(y2, y1 + 1.0, IMAGE_H)
-    return x1, y1, x2, y2
+def _project_cars(distance: np.ndarray, lateral_px: np.ndarray) -> np.ndarray:
+    """Pinhole-ish projection: nearer cars are larger and lower in frame; (x1, y1, x2, y2) on a new last axis."""
+    near = np.maximum(distance, 4.0)
+    h = np.minimum(450.0, 2600.0 / near)
+    w = 1.5 * h
+    y2 = np.minimum(IMAGE_H - 2.0, 350.0 + 1400.0 / near)
+    y1 = np.maximum(1.0, y2 - h)
+    cx = IMAGE_W / 2.0 + lateral_px
+    x1 = np.maximum(1.0, cx - w / 2.0)
+    x2 = np.minimum(IMAGE_W - 1.0, np.maximum(x1 + 4.0, cx + w / 2.0))
+    return np.stack([x1, y1, x2, y2], axis=-1)
+
+
+def _jitter_boxes(boxes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Boxes (..., 4) moved by the jitter draws `u` (..., 4), then clamped into the image, x1 and y1 first."""
+    x1 = np.clip(boxes[..., 0] + u[..., 0], 0.0, IMAGE_W - 2.0)
+    y1 = np.clip(boxes[..., 1] + u[..., 1], 0.0, IMAGE_H - 2.0)
+    x2 = np.clip(boxes[..., 2] + u[..., 2], x1 + 1.0, IMAGE_W)
+    y2 = np.clip(boxes[..., 3] + u[..., 3], y1 + 1.0, IMAGE_H)
+    return np.stack([x1, y1, x2, y2], axis=-1)
 
 
 @dataclass
@@ -225,92 +227,78 @@ def _generate_session(
     ped_x0 = rng.uniform(100.0, 1100.0)
     ped_dir = float(rng.choice([-1.0, 1.0]))
 
-    frames: list[FrameDetections] = []
-    sensors: list[SensorSample] = []
-    latents: dict[int, LatentState] = {}
-    actions: dict[int, Optional[Action]] = {}
-    for t in range(n):
-        state = LatentState(
-            distance=float(distance[t]),
-            closing_speed=float(closing[t]),
-            flag=bool(flag[t]),
-            in_transition=bool(transition[t]),
-        )
-        latents[t] = state
+    # The action in force at each frame: the rule applied to the scene reaction_delay
+    # frames earlier, none while stopped.
+    labels = [
+        oracle_label(LatentState(*state), config.confound)
+        for state in zip(distance.tolist(), closing.tolist(), flag.tolist(), transition.tolist())
+    ]
+    in_force = [
+        None if t < config.initial_stop_frames or t < config.reaction_delay else labels[t - config.reaction_delay]
+        for t in range(n)
+    ]
 
-        objects = [
-            DetectedObject(
-                category="car",
-                bbox=_jitter_box(
-                    _project_car(state.distance, rng.uniform(-10.0, 10.0)),
-                    config.bbox_jitter_px,
-                    rng,
-                ),
-                confidence=_clamp(0.97 + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 1.0),
-            )
-        ]
-        for b in range(n_bg):
-            objects.append(
-                DetectedObject(
-                    category=str(bg_kind[b]),
-                    bbox=_jitter_box(
-                        _project_car(float(bg_dist[b]), float(bg_lateral[b])),
-                        config.bbox_jitter_px,
-                        rng,
-                    ),
-                    confidence=_clamp(
-                        0.6 + 0.05 * b + config.confidence_jitter * rng.uniform(-1, 1), 0.0, 0.9
-                    ),
-                )
-            )
-        if has_ped[t]:
-            px = _clamp(ped_x0 + ped_dir * 8.0 * t, 10.0, IMAGE_W - 60.0)
-            objects.append(
-                DetectedObject(
-                    category="pedestrian",
-                    bbox=_jitter_box((px, 380.0, px + 45.0, 520.0), config.bbox_jitter_px, rng),
-                    confidence=0.85,
-                )
-            )
-        if has_light[t]:
-            objects.append(
-                DetectedObject(
-                    category="traffic_light" if scenario == "urban" else "stop_sign",
-                    bbox=_jitter_box((900.0, 80.0, 945.0, 170.0), config.bbox_jitter_px, rng),
-                    confidence=0.9,
-                )
-            )
-        frames.append(
-            FrameDetections(
-                frame_index=t,
-                timestamp=t / config.fps,
-                image_width=IMAGE_W,
-                image_height=IMAGE_H,
-                objects=objects,
-            )
-        )
+    # Every draw of the frames, in one call. Per frame, in this order: the lead car's
+    # lateral offset; per car, lead first, 4 box jitters (when jitter is on) and its
+    # confidence; 4 jitters each for the pedestrian and the light when present; one
+    # pedal draw when an action is in force; one steering draw unless turning.
+    n_cars = 1 + n_bg
+    j = config.bbox_jitter_px
+    n_jit = 4 if j > 0 else 0
+    car_cols = 1 + n_cars * (n_jit + 1)
+    low = [-10.0] + ([-j] * n_jit + [-1.0]) * n_cars + [-j] * (2 * n_jit) + [0.0, -8.0]
+    high = [10.0] + ([j] * n_jit + [1.0]) * n_cars + [j] * (2 * n_jit) + [1.0, 8.0]
+    drawn = np.ones((n, len(low)), dtype=bool)
+    drawn[:, car_cols : car_cols + n_jit] = has_ped[:, None]
+    drawn[:, car_cols + n_jit : car_cols + 2 * n_jit] = has_light[:, None]
+    drawn[:, -2] = [a is not None for a in in_force]
+    drawn[:, -1] = ~turning
+    u = np.zeros(drawn.shape)
+    u[drawn] = rng.uniform(np.broadcast_to(low, u.shape)[drawn], np.broadcast_to(high, u.shape)[drawn])
 
-        # Pedal response lags the observed kinematics by reaction_delay frames.
-        src = t - config.reaction_delay
-        stopped = t < config.initial_stop_frames
-        if stopped or src < 0:
-            action = None
-        else:
-            action = oracle_label(latents[src], config.confound)
-        actions[t] = action
-        brake, accel = _pedals(action, scenario, rng)
-        steer = 45.0 if turning[t] else float(rng.uniform(-8.0, 8.0))
-        sensors.append(
-            SensorSample(
-                frame_index=t,
-                brake_pressure=brake,
-                accel_pedal=accel,
-                steering_angle=steer,
-                scenario=scenario,
-                is_moving=not stopped,
-            )
+    # One slot per object a frame can hold: the cars, lead first, the pedestrian and the light.
+    car_u = u[:, 1:car_cols].reshape(n, n_cars, n_jit + 1)
+    px = np.clip(ped_x0 + ped_dir * 8.0 * np.arange(n), 10.0, IMAGE_W - 60.0)
+    boxes = np.concatenate(
+        [
+            _project_cars(distance, u[:, 0])[:, None],
+            np.broadcast_to(_project_cars(bg_dist, bg_lateral), (n, n_bg, 4)),
+            np.stack([px, np.full(n, 380.0), px + 45.0, np.full(n, 520.0)], axis=-1)[:, None],
+            np.broadcast_to([900.0, 80.0, 945.0, 170.0], (n, 1, 4)),
+        ],
+        axis=1,
+    )
+    if n_jit:
+        jitter = np.concatenate([car_u[..., :n_jit], u[:, car_cols : car_cols + 2 * n_jit].reshape(n, 2, 4)], axis=1)
+        boxes = _jitter_boxes(boxes, jitter)
+    conf_base = np.array([0.97] + [0.6 + 0.05 * b for b in range(n_bg)])
+    car_conf = np.clip(conf_base + config.confidence_jitter * car_u[..., n_jit], 0.0, [1.0] + [0.9] * n_bg)
+    conf = np.concatenate([car_conf, np.broadcast_to([0.85, 0.9], (n, 2))], axis=1)
+    present = np.ones((n, n_cars + 2), dtype=bool)
+    present[:, -2] = has_ped
+    present[:, -1] = has_light
+    category = ["car", *map(str, bg_kind), "pedestrian", "traffic_light" if scenario == "urban" else "stop_sign"]
+    objects = list(
+        map(
+            DetectedObject,
+            map(category.__getitem__, np.nonzero(present)[1].tolist()),
+            map(tuple, boxes[present].tolist()),
+            conf[present].tolist(),
         )
-    return frames, sensors, actions
+    )
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    frames = [
+        FrameDetections(t, t / config.fps, IMAGE_W, IMAGE_H, objects[start:end])
+        for t, start, end in zip(range(n), [0, *ends], ends)
+    ]
+
+    brake, accel = _pedals(in_force, scenario, u[:, -2])
+    steer = np.where(turning, 45.0, u[:, -1])
+    sensors = [
+        SensorSample(t, b, a, s, scenario, is_moving=t >= config.initial_stop_frames)
+        for t, (b, a, s) in enumerate(zip(brake.tolist(), accel.tolist(), steer.tolist()))
+    ]
+    return frames, sensors, dict(enumerate(in_force))
 
 
 def generate(config: SynthConfig) -> SynthResult:

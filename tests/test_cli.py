@@ -92,14 +92,6 @@ class TestPrepareCommand:
             err = capsys.readouterr().err
             assert f"--quota expects three positive counts car,ped,traffic, got {quota!r}" in err
 
-    @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0"])
-    def test_sweep_value_outside_model_range_fails_before_out(self, logs_dir, tmp_path, capsys, flag):
-        """A sweep value ModelConfig rejects exits 2 and writes nothing, not a table of failed cells."""
-        out = tmp_path / "out"
-        assert main(["ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base", flag]) == 2
-        assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flag,named",
         [("--T=0", "history length T must be >= 1"), ("--FT=0", "future offset FT must be >= 1")],
@@ -310,6 +302,16 @@ class TestTrainEvalCommands:
         out = capsys.readouterr().out
         assert "accuracy:" in out
         assert "us/clip" in out
+
+    def test_eval_train_split_scores_each_distinct_clip_once(self, trained, capsys):
+        """The training split repeats clips to balance classes; `eval` scores the distinct ones."""
+        archive = trained / "data" / "clips.npz"
+        train_idx = ClipDataset.load(archive).train_idx
+        distinct = len(np.unique(train_idx))
+        assert distinct < len(train_idx)
+        checkpoint = trained / "model" / "checkpoint.npz"
+        assert main(["eval", "--archive", str(archive), "--checkpoint", str(checkpoint), "--split", "train"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f" us/clip over {distinct} clips")
 
     def test_eval_scores_and_times_with_one_evaluate(self, trained, monkeypatch, capsys):
         """The printed metrics and time come from one `evaluate`, whose predict passes are the only ones."""

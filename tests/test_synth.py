@@ -1,27 +1,29 @@
-"""Synthetic scene generator: determinism, labeling rule, log round-trip."""
+"""Synthetic scene generator: determinism, labeling rule, log round-trip, frame-by-frame reference."""
 import dataclasses
 import json
-import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedcast.cli import _synth_config
 from speedcast.errors import InvalidConfigError
 from speedcast.ingest import derive_label, read_detection_log, read_sensor_log
+from speedcast.seeding import derive_seed
 from speedcast.synth import (
     FLIPPED,
-    _clamp,
     LatentState,
     SynthConfig,
+    _generate_session,
     generate,
     oracle_label,
     write_logs,
 )
 from speedcast.types import Action
+
+from oracles import reference_session
 
 SMALL = SynthConfig(sessions=4, frames_per_session=50, seed=3)
 
@@ -89,31 +91,6 @@ class TestConfig:
 
     def test_range_bounds_accepted(self):
         SynthConfig(background_cars=(0, 0), initial_stop_frames=0, highway_fraction=0, flag_prob=1.0)
-
-
-_bounds = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-@st.composite
-def clamp_cases(draw):
-    """(x, lo, hi) with lo <= hi; x is often a bound, a zero of either sign or not finite."""
-    lo, hi = sorted([draw(st.one_of(_bounds, st.sampled_from([0.0, -0.0]))) for _ in range(2)])
-    x = draw(st.one_of(st.floats(width=64), st.sampled_from([lo, hi, 0.0, -0.0, math.inf, -math.inf, math.nan])))
-    return x, lo, hi
-
-
-class TestClamp:
-    @given(clamp_cases())
-    def test_equals_np_clip_bit_for_bit(self, case):
-        x, lo, hi = case
-        expected = float(np.clip(x, lo, hi))
-        got = _clamp(x, lo, hi)
-        if x == expected == 0.0 and (x == lo or x == hi):
-            # A zero x tying a zero bound: numpy 2.4 returns x, older numpy may
-            # return the bound, and the generator clamps no zero. `_clamp` keeps x.
-            assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, x)
-        else:
-            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 class TestOracleRule:
@@ -206,3 +183,84 @@ class TestLogRoundTrip:
         d2, s2 = write_logs(generate(SMALL), tmp_path / "b")
         assert d1.read_bytes() == d2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+
+def _bits(value):
+    """`value` with every float replaced by its IEEE bytes (signed zeros differ), recursing into
+    dataclasses, tuples, lists and dicts; a numpy scalar fails, since the logs must hold Python numbers."""
+    if type(value) is float:
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_bits, value))
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(_bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    assert isinstance(value, (int, str, bool, type(None))) and not isinstance(value, np.generic), type(value)
+    return value
+
+
+_probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def synth_configs(draw):
+    """SynthConfigs over the settings that change which draws a frame makes, and how many."""
+    lo = draw(st.integers(3, 8))
+    bg_lo = draw(st.integers(0, 4))
+    return SynthConfig(
+        frames_per_session=draw(st.integers(1, 60)),
+        segment_frames=(lo, lo + draw(st.integers(0, 4))),
+        reaction_delay=draw(st.integers(1, 70)),
+        initial_stop_frames=draw(st.integers(0, 70)),
+        turn_segment_prob=draw(_probability),
+        pedestrian_rate=draw(_probability),
+        light_prob=draw(_probability),
+        background_cars=(bg_lo, bg_lo + draw(st.integers(0, 3))),
+        bbox_jitter_px=draw(st.one_of(st.just(0.0), st.floats(0.0, 40.0))),
+        confidence_jitter=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        confound=draw(st.booleans()),
+        flag_prob=draw(_probability),
+    )
+
+
+class TestMatchesFrameByFrameReference:
+    """The array generator makes the frame-by-frame generator's sessions, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(synth_configs(), st.sampled_from(["highway", "urban"]), st.integers(0, 2**63 - 1))
+    def test_session_is_bit_identical(self, config, scenario, seed):
+        assert _bits(_generate_session(scenario, config, seed)) == _bits(reference_session(scenario, config, seed))
+
+    @pytest.mark.parametrize(
+        "config",
+        [SMALL, SynthConfig(sessions=3, bbox_jitter_px=3.0, confidence_jitter=0.1, confound=True, seed=5)],
+    )
+    def test_generate_is_bit_identical(self, config):
+        result = generate(config)
+        for i, (name, (frames, sensors)) in enumerate(result.sessions.items()):
+            scenario = sensors[0].scenario
+            seed = derive_seed(config.seed, "session", i)
+            ref_frames, ref_sensors, ref_actions = reference_session(scenario, config, seed)
+            assert _bits((frames, sensors)) == _bits((ref_frames, ref_sensors))
+            assert {t: result.oracle(name, t) for t in ref_actions} == ref_actions
+
+
+class TestBatchedUniform:
+    """The generator's premise: one `uniform` call with per-draw bounds yields the scalar calls' values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)).map(lambda b: (b[0], b[0] + b[1])),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_equals_successive_scalar_calls(self, bounds, seed):
+        low, high = np.array(bounds).T
+        batched = np.random.default_rng(seed).uniform(low, high)
+        rng = np.random.default_rng(seed)
+        scalar = [rng.uniform(lo, hi) for lo, hi in bounds]
+        assert batched.tobytes() == np.array(scalar).tobytes()
