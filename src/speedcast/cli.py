@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -44,9 +46,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@contextlib.contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Turn an OSError from writing artifact `path` into a config error naming the file that failed."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, value: object) -> None:
     """Write `value` to `path` as JSON indented by 2, with a final newline."""
-    path.write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
+    with _writing(path):
+        path.write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed: int, artifacts: dict[str, Path]) -> None:
@@ -126,7 +138,8 @@ def _train_config(path: str | None, args: argparse.Namespace, variant: str | Non
 def run_synth(config: SynthConfig, out: Path) -> None:
     _make_out_dir(out)
     result = generate(config)
-    det_path, sen_path = write_logs(result, out)
+    with _writing(out):
+        det_path, sen_path = write_logs(result, out)
     _write_manifest(
         out,
         "synth",
@@ -152,7 +165,8 @@ def run_prepare(
     dataset = build_dataset(sessions, T=T, FT=FT, quota=quota, seed=split_seed(seed))
     _make_out_dir(out)
     archive = out / "clips.npz"
-    dataset.save(archive)
+    with _writing(archive):
+        dataset.save(archive)
     hist = np.bincount(dataset.labels, minlength=4)
     train_hist = np.bincount(dataset.labels[dataset.train_idx], minlength=4)
     _write_manifest(
@@ -185,7 +199,8 @@ def run_train(
     _make_out_dir(out)
     best, report = train_variant(dataset, model, seed, train_config, progress)
     ckpt = out / "checkpoint.npz"
-    save_checkpoint(best, ckpt)
+    with _writing(ckpt):
+        save_checkpoint(best, ckpt)
     fault = report.fault
     report_path = out / "train_report.json"
     _write_json(
@@ -201,7 +216,7 @@ def run_train(
         },
     )
     metrics_path = out / "train_metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8") as handle:
+    with _writing(metrics_path), open(metrics_path, "w", encoding="utf-8") as handle:
         handle.write("epoch,train_loss,val_loss,seconds\n")
         for epoch, tr, vl, sec in report.rows():
             handle.write(f"{epoch},{tr:.6f},{vl:.6f},{sec:.3f}\n")
@@ -281,8 +296,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     results = run_ablation(sessions, sweep, train_config)
     table = out / "results.csv"
     curves = out / "loss_curves.csv"
-    write_results_table(results, table)
-    write_loss_curves(results, curves)
+    with _writing(table):
+        write_results_table(results, table)
+    with _writing(curves):
+        write_loss_curves(results, curves)
     _write_manifest(
         out,
         "ablate",

@@ -30,12 +30,7 @@ class MetricsReport:
     confusion: np.ndarray  # (4, 4) counts, rows = true class
     recalls: list[Optional[float]]  # percent; None when a class is absent
     accuracy: float  # percent
-    class_counts: np.ndarray  # (4,) true-class totals
     per_clip_us: float = float("nan")  # set by `evaluate`: median predict pass time per clip
-
-    @property
-    def total(self) -> int:
-        return int(self.class_counts.sum())
 
 
 # `predict` keeps no backward cache, so one batch covers a default 527-538-clip
@@ -84,7 +79,7 @@ def metrics_from_predictions(preds: np.ndarray, labels: np.ndarray) -> MetricsRe
         else:
             recalls.append(100.0 * confusion[j, j] / counts[j])
     accuracy = 100.0 * np.trace(confusion) / counts.sum()
-    return MetricsReport(confusion=confusion, recalls=recalls, accuracy=float(accuracy), class_counts=counts)
+    return MetricsReport(confusion=confusion, recalls=recalls, accuracy=float(accuracy))
 
 
 def evaluate(

@@ -141,21 +141,17 @@ class Segments:
         return totals
 
 
-def hop_coefficients(order: int, dtype: np.dtype = np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """(c, e) with T_k(L_tilde) = c_k I + e_k P on the real rows of a complete graph.
+@functools.lru_cache(maxsize=32)
+def hop_coefficients(order: int, dtype: np.dtype = np.float64) -> np.ndarray:
+    """Read-only (2, order + 1) table (c, e), built once per key.
 
-    There L_tilde = -P, and P (the per-graph mean) is a projection, so T_k acts
-    as T_k(0) = cos(k pi / 2) off the mean direction and T_k(-1) = (-1)^k on it.
+    T_k(L_tilde) = c_k I + e_k P on the real rows of a complete graph. There
+    L_tilde = -P, and P (the per-graph mean) is a projection, so T_k acts as
+    T_k(0) = cos(k pi / 2) off the mean direction and T_k(-1) = (-1)^k on it.
     """
     k = np.arange(order + 1)
     c = np.array([1.0, 0.0, -1.0, 0.0], dtype=dtype)[k % 4]
-    return c, np.where(k % 2 == 0, 1.0, -1.0).astype(dtype) - c
-
-
-@functools.lru_cache(maxsize=32)
-def _hop_table(order: int, dtype: np.dtype) -> np.ndarray:
-    """`hop_coefficients` stacked as a read-only (2, order + 1) array, built once per key."""
-    table = np.stack(hop_coefficients(order, dtype))
+    table = np.stack([c, np.where(k % 2 == 0, 1.0, -1.0).astype(dtype) - c])
     table.setflags(write=False)
     return table
 
@@ -171,7 +167,7 @@ def cheb_layer_forward(
     if h.shape[-1] != params.in_dim:
         raise ShapeError(f"features width {h.shape[-1]} != layer in_dim {params.in_dim}")
     w = params.weights
-    a, b = (_hop_table(params.order, w.dtype) @ w.reshape(w.shape[0], -1)).reshape((2,) + w.shape[1:])
+    a, b = (hop_coefficients(params.order, w.dtype) @ w.reshape(w.shape[0], -1)).reshape((2,) + w.shape[1:])
     mean = segments.mean(h)
     y = segments.broadcast_add(h @ a, mean @ b)
     y += params.bias
@@ -194,7 +190,7 @@ def cheb_layer_backward(
     dz_sum = segments.sum(dz)
     dab = np.stack([cache["h"].T @ dz, cache["mean"].T @ dz_sum])
     w = params.weights
-    dweights = (_hop_table(params.order, w.dtype).T @ dab.reshape(2, -1)).reshape(w.shape)
+    dweights = (hop_coefficients(params.order, w.dtype).T @ dab.reshape(2, -1)).reshape(w.shape)
     if not want_dh:
         return None, dweights, dz.sum(axis=0)
     dh = segments.broadcast_add(dz @ cache["a"].T, segments.divide_by_sizes(dz_sum) @ cache["b"].T)

@@ -35,6 +35,8 @@ MAX_STEERING_DEG = 30.0
 BRAKE_THRESHOLD_KPA = {"highway": 958.0, "urban": 1461.0}
 ACCEL_THRESHOLD_PCT = {"highway": 22.0, "urban": 19.0}
 
+SPLIT_RATIOS = (0.70, 0.10, 0.20)  # train / val / test shares of the clips
+
 CLIPSET_SCHEMA = "speedcast-clipset/2"
 # Schema /1 stored every clip's T frames in its own rows of `features` and `mask`.
 _CLIPSET_SCHEMA_V1 = "speedcast-clipset/1"
@@ -217,24 +219,18 @@ def assemble_clips(
     }
 
 
-def split_dataset(
-    items: Sequence,
-    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
-    seed: int = 0,
-) -> tuple[list, list, list]:
-    """Seeded shuffle then contiguous train/val/test partition.
+def split_dataset(items: Sequence, seed: int = 0) -> tuple[list, list, list]:
+    """Seeded shuffle then contiguous train/val/test partition by SPLIT_RATIOS.
 
-    Val and test sizes are floors of their ratios; the remainder goes to
+    Val and test sizes are floors of their shares; the remainder goes to
     train (this reproduces 58721 -> 41105/5872/11744).
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidConfigError(f"split ratios must sum to 1, got {ratios}")
     n = len(items)
     if n == 0:
         return [], [], []
     order = np.random.default_rng(seed).permutation(n)
-    n_val = int(np.floor(ratios[1] * n))
-    n_test = int(np.floor(ratios[2] * n))
+    n_val = int(np.floor(SPLIT_RATIOS[1] * n))
+    n_test = int(np.floor(SPLIT_RATIOS[2] * n))
     n_train = n - n_val - n_test
     shuffled = [items[int(i)] for i in order]
     return (
@@ -496,8 +492,6 @@ def _number(rec: dict, key: str) -> float:
 
 
 def _parse_object(o: dict) -> DetectedObject:
-    # Only the types are checked here: `DetectedObject.validate` bounds every
-    # value by the image or by [0, 1], which also rejects NaN and infinities.
     values = (o["x1"], o["y1"], o["x2"], o["y2"], o["confidence"])
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         raise InvalidRecordError(f"box and confidence must be numbers, got {values!r}")
@@ -577,7 +571,17 @@ def _parse_frame(rec: dict) -> FrameDetections:
         image_height=_integer(rec, "height"),
         objects=[_parse_object(o) for o in rec["objects"]],
     )
-    frame.validate()
+    width, height = frame.image_width, frame.image_height
+    if width <= 0 or height <= 0:
+        raise InvalidRecordError(f"frame {frame.frame_index}: non-positive image dims")
+    for obj in frame.objects:
+        # The bounds also reject the NaN and infinite values that the type check lets through.
+        x1, y1, x2, y2 = obj.bbox
+        if not (0.0 <= x1 < x2 <= width and 0.0 <= y1 < y2 <= height):
+            raise InvalidRecordError(f"bbox {obj.bbox} outside {width}x{height} image or degenerate")
+        if not 0.0 <= obj.confidence <= 1.0:
+            raise InvalidRecordError(f"confidence {obj.confidence} outside [0, 1]")
+        super_category(obj.category)  # raises on an unknown category
     return frame
 
 
@@ -606,7 +610,14 @@ def _parse_sensor(rec: dict) -> SensorSample:
         scenario=rec["scenario"],
         is_moving=is_moving,
     )
-    sample.validate()
+    if sample.brake_pressure < 0:
+        raise InvalidRecordError(f"frame {sample.frame_index}: negative brake pressure {sample.brake_pressure}")
+    if not 0.0 <= sample.accel_pedal <= 100.0:
+        raise InvalidRecordError(
+            f"frame {sample.frame_index}: accelerator percent {sample.accel_pedal} outside [0, 100]"
+        )
+    if sample.scenario not in ("highway", "urban"):
+        raise InvalidRecordError(f"frame {sample.frame_index}: unknown scenario {sample.scenario!r}")
     return sample
 
 

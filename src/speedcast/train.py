@@ -41,7 +41,7 @@ def batch_loss(
 
     The batch is a frame table with `windows` or expanded clips, as in `model_forward`.
     """
-    _, logits, _ = model_forward(features, mask, params, windows)
+    _, logits, _ = model_forward(features, mask, params, windows, keep_cache=False)
     return _mean_cross_entropy(logits, labels)
 
 

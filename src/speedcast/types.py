@@ -17,7 +17,6 @@ CATEGORY_GROUPS: dict[str, tuple[str, ...]] = {
     "pedestrian": ("pedestrian",),
     "traffic": ("traffic_light", "stop_sign"),
 }
-KNOWN_CATEGORIES = frozenset(c for g in CATEGORY_GROUPS.values() for c in g)
 
 _SUPER_OF = {raw: sup for sup, raws in CATEGORY_GROUPS.items() for raw in raws}
 
@@ -106,17 +105,6 @@ class DetectedObject:
     bbox: tuple[float, float, float, float]  # (x1, y1, x2, y2) pixels
     confidence: float
 
-    def validate(self, width: float, height: float) -> None:
-        x1, y1, x2, y2 = self.bbox
-        if not (0.0 <= x1 < x2 <= width and 0.0 <= y1 < y2 <= height):
-            raise InvalidRecordError(
-                f"bbox {self.bbox} outside {width}x{height} image or degenerate"
-            )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvalidRecordError(f"confidence {self.confidence} outside [0, 1]")
-        if self.category not in KNOWN_CATEGORIES:
-            raise InvalidRecordError(f"unknown object category: {self.category!r}")
-
 
 @dataclass
 class FrameDetections:
@@ -127,12 +115,6 @@ class FrameDetections:
     image_width: int
     image_height: int
     objects: list[DetectedObject] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise InvalidRecordError(f"frame {self.frame_index}: non-positive image dims")
-        for obj in self.objects:
-            obj.validate(self.image_width, self.image_height)
 
 
 @dataclass
@@ -145,18 +127,6 @@ class SensorSample:
     steering_angle: float  # degrees
     scenario: str  # "highway" | "urban"
     is_moving: Optional[bool] = None
-
-    def validate(self) -> None:
-        if self.brake_pressure < 0:
-            raise InvalidRecordError(
-                f"frame {self.frame_index}: negative brake pressure {self.brake_pressure}"
-            )
-        if not 0.0 <= self.accel_pedal <= 100.0:
-            raise InvalidRecordError(
-                f"frame {self.frame_index}: accelerator percent {self.accel_pedal} outside [0, 100]"
-            )
-        if self.scenario not in ("highway", "urban"):
-            raise InvalidRecordError(f"frame {self.frame_index}: unknown scenario {self.scenario!r}")
 
 
 @dataclass(frozen=True)

@@ -443,6 +443,35 @@ def test_out_that_cannot_be_a_directory_fails_before_any_training(
     assert trained_models == []
 
 
+@pytest.mark.parametrize(
+    "command,artifact",
+    [
+        ("synth", "detections.jsonl"),
+        ("synth", "sensors.jsonl"),
+        ("synth", "run_manifest.json"),
+        ("prepare", "clips.npz"),
+        ("train", "checkpoint.npz"),
+        ("train", "train_report.json"),
+        ("train", "train_metrics.csv"),
+        ("ablate", "results.csv"),
+        ("ablate", "loss_curves.csv"),
+    ],
+)
+def test_artifact_that_cannot_be_written_is_config_error(trained, logs_dir, tmp_path, capsys, command, artifact):
+    """A directory where a command writes a file is a config error naming that file."""
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    args = {
+        "synth": ["synth"],
+        "prepare": ["prepare", "--logs", str(logs_dir), "--T", "4", "--quota", "3,2,1"],
+        "train": ["train", "--archive", str(trained / "data" / "clips.npz"), "--variant", "base", "--quiet"],
+        "ablate": ["ablate", "--logs", str(logs_dir), "--T", "4", "--quota", "3,2,1", "--variant", "base"],
+    }[command]
+    epochs = ["--max-epochs", "1"] if command in ("train", "ablate") else []
+    assert main(args + epochs + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / artifact}: Is a directory\n"
+
+
 model_config_errors = pytest.mark.parametrize(
     "flags,named",
     [(["--K", "-1"], "ModelConfig field K"), (["--variant", "nope"], "unknown variant 'nope'")],

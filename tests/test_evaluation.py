@@ -34,7 +34,7 @@ class TestMetrics:
         assert m.recalls[1] == pytest.approx(100.0)
         assert m.recalls[3] == pytest.approx(50.0)
         assert m.accuracy == pytest.approx(100.0 * 4 / 6)
-        assert m.total == 6
+        assert m.confusion.sum() == 6
 
     def test_absent_class_gives_none_recall_with_warning(self):
         labels = np.array([0, 1, 1])

@@ -223,10 +223,6 @@ class TestSplit:
         c = split_dataset(list(range(50)), seed=10)
         assert a != c
 
-    def test_ratios_must_sum_to_one(self):
-        with pytest.raises(InvalidConfigError):
-            split_dataset([1, 2, 3], ratios=(0.5, 0.2, 0.2))
-
 
 class TestOversample:
     def test_histogram_becomes_uniform(self):
@@ -564,6 +560,43 @@ class TestLogValidation:
         (sample,) = read_sensor_log(tmp_path / "sensors.jsonl")["s000"]
         assert frame.objects[0].bbox == (10.0, 20.0, 200.0, 150.0)
         assert sample.is_moving is None and sample.steering_angle == 1.5
+
+    @pytest.mark.parametrize(
+        "log,change,message",
+        [
+            ("detections", {"width": 0}, "frame 3: non-positive image dims"),
+            ("detections", {"height": -720}, "frame 3: non-positive image dims"),
+            ("detections", {"x2": 1280.5}, "bbox (10.0, 20.0, 1280.5, 150.0) outside 1280x720 image or degenerate"),
+            ("detections", {"y1": -1.0}, "bbox (10.0, -1.0, 200.0, 150.0) outside 1280x720 image or degenerate"),
+            ("detections", {"x1": 200.0}, "bbox (200.0, 20.0, 200.0, 150.0) outside 1280x720 image or degenerate"),
+            ("detections", {"y2": float("nan")}, "bbox (10.0, 20.0, 200.0, nan) outside 1280x720 image or degenerate"),
+            ("detections", {"confidence": 1.5}, "confidence 1.5 outside [0, 1]"),
+            ("detections", {"confidence": -0.25}, "confidence -0.25 outside [0, 1]"),
+            ("detections", {"category": "bicycle"}, "unknown object category: 'bicycle'"),
+            ("detections", {"category": ["car"]}, "unhashable type: 'list'"),
+            ("sensors", {"brake_kpa": -1.0}, "frame 3: negative brake pressure -1.0"),
+            ("sensors", {"accel_pct": 100.5}, "frame 3: accelerator percent 100.5 outside [0, 100]"),
+            ("sensors", {"accel_pct": -0.5}, "frame 3: accelerator percent -0.5 outside [0, 100]"),
+            ("sensors", {"scenario": "rural"}, "frame 3: unknown scenario 'rural'"),
+            ("sensors", {"scenario": 5}, "frame 3: unknown scenario 5"),
+            # Two rules broken at once: the first in check order is the one reported.
+            ("detections", {"width": -1, "x2": 5000.0}, "frame 3: non-positive image dims"),
+            ("detections", {"confidence": 2.0, "category": "bicycle"}, "confidence 2.0 outside [0, 1]"),
+            ("sensors", {"brake_kpa": -2.0, "scenario": "rural"}, "frame 3: negative brake pressure -2.0"),
+        ],
+    )
+    def test_out_of_range_record_is_rejected_with_its_line(self, tmp_path, log, change, message):
+        """A well-typed record that breaks a range rule fails the reader at path:line with that rule's message."""
+        record = copy.deepcopy(DETECTION_RECORD if log == "detections" else SENSOR_RECORD)
+        for key, value in change.items():  # a key the record lacks belongs to its one object
+            (record if key in record else record["objects"][0])[key] = value
+        path = tmp_path / f"{log}.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        reader = read_detection_log if log == "detections" else read_sensor_log
+        kind = "detection" if log == "detections" else "sensor"
+        with pytest.raises(InvalidRecordError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:1: malformed {kind} record: {message}"
 
 
 class TestLoadSessions:

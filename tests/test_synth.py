@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from speedcast.cli import _synth_config
 from speedcast.errors import InvalidConfigError
-from speedcast.ingest import derive_label, read_detection_log, read_sensor_log
+from speedcast.ingest import _parse_frame, derive_label, frame_record, read_detection_log, read_sensor_log
 from speedcast.seeding import derive_seed
 from speedcast.synth import (
     FLIPPED,
@@ -153,7 +153,7 @@ class TestGenerate:
         for f in frames:
             cars = [o for o in f.objects if o.category in ("car", "bus", "truck")]
             assert cars
-            f.validate()
+            _parse_frame(frame_record("s000", f))  # raises on a record out of range
 
     def test_all_actions_appear(self):
         result = generate(SynthConfig(sessions=8, frames_per_session=80, seed=1))

@@ -142,6 +142,21 @@ class TestAdam:
         np.testing.assert_allclose(params.classifier.b_out, expected, atol=1e-12)
         assert state.t == 1
 
+    def test_epsilon_is_added_after_the_square_root(self):
+        """At g = 1e-8, sqrt(v_hat) equals epsilon, so the first step is half the step size."""
+        cfg = ModelConfig(
+            T=2, K=0, quota=TINY_QUOTA, graph_widths=(2, 2), mlp_widths=(2, 2),
+            variant="base",
+        )
+        params = init_params(cfg, seed=0)
+        state = AdamState.for_params(params)
+        grads = {name: np.full_like(a, 1e-8) for name, a in params.named_arrays()}
+        before = params.classifier.b_out.copy()
+        adam_step(params, grads, state, TrainConfig(step_size=0.01))
+        # step_size * m_hat / (sqrt(v_hat) + eps); with eps inside the root it would be ~0.01 * 1e-4
+        expected = before - 0.01 * 1e-8 / (np.sqrt(1e-16) + 1e-8)
+        np.testing.assert_allclose(params.classifier.b_out, expected, atol=1e-12)
+
     def test_moments_persist_across_steps(self):
         cfg = ModelConfig(
             T=2, K=0, quota=TINY_QUOTA, graph_widths=(2, 2), mlp_widths=(2, 2),
@@ -197,6 +212,12 @@ class TestEarlyStopper:
             stopper.update(loss, epoch)
         assert stopper.stale == 1
         assert stopper.best_epoch == 4
+
+    def test_improvement_of_exactly_min_delta_does_not_count(self):
+        stopper = EarlyStopper(patience=5, min_delta=0.25)
+        assert stopper.update(1.0, 1)
+        assert not stopper.update(0.75, 2)  # 1.0 - 0.75 is exactly 0.25, not larger
+        assert stopper.best_epoch == 1 and stopper.best_loss == 1.0 and stopper.stale == 1
 
     def test_monotone_improvement_never_stops(self):
         stopper = EarlyStopper(patience=3, min_delta=1e-6)

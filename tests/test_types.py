@@ -14,9 +14,6 @@ from speedcast.types import (
     NUM_ACTIONS,
     Action,
     CategoryQuota,
-    DetectedObject,
-    FrameDetections,
-    SensorSample,
     super_category,
 )
 
@@ -60,35 +57,6 @@ def test_quota_slices_partition_the_block():
 def test_quota_rejects_non_positive_counts():
     with pytest.raises(InvalidRecordError):
         CategoryQuota(0, 1, 1)
-
-
-def test_detected_object_validation():
-    frame = FrameDetections(
-        frame_index=0,
-        timestamp=0.0,
-        image_width=100,
-        image_height=50,
-        objects=[DetectedObject("car", (10, 10, 90, 40), 0.9)],
-    )
-    frame.validate()
-    frame.objects.append(DetectedObject("car", (90, 10, 10, 40), 0.9))
-    with pytest.raises(InvalidRecordError):
-        frame.validate()
-
-
-def test_detected_object_rejects_bad_confidence():
-    with pytest.raises(InvalidRecordError):
-        DetectedObject("car", (0, 0, 5, 5), 1.5).validate(10, 10)
-
-
-def test_sensor_sample_validation():
-    SensorSample(0, 100.0, 0.0, 5.0, "highway").validate()
-    with pytest.raises(InvalidRecordError):
-        SensorSample(0, -1.0, 0.0, 0.0, "highway").validate()
-    with pytest.raises(InvalidRecordError):
-        SensorSample(0, 0.0, 120.0, 0.0, "highway").validate()
-    with pytest.raises(InvalidRecordError):
-        SensorSample(0, 0.0, 0.0, 0.0, "rural").validate()
 
 
 def _ill_typed_fields():
