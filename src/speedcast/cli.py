@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidConfigError, InvalidRecordError, SpeedcastError
 from .evaluation import (
+    CellResult,
     SweepSpec,
     evaluate,
     run_ablation,
@@ -22,15 +23,8 @@ from .evaluation import (
     write_results_table,
 )
 from .ingest import ClipDataset, build_dataset, load_sessions
-from .model import (
-    VARIANTS,
-    ModelConfig,
-    init_params,
-    load_checkpoint,
-    normalize_variant,
-    save_checkpoint,
-)
-from .seeding import derive_seed, order_seed, split_seed
+from .model import VARIANTS, ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .seeding import derive_seed, split_seed
 from .synth import SynthConfig, generate, write_logs
 from .train import TrainConfig, gradient_check, train_variant, variant_config
 from .types import ACTION_NAMES, CategoryQuota
@@ -123,12 +117,11 @@ def _synth_config(path: str | None, seed: int | None) -> SynthConfig:
     return SynthConfig(**(values if seed is None else values | {"seed": seed}))
 
 
-def _train_config(path: str | None, args: argparse.Namespace, variant: str | None) -> TrainConfig:
-    """TrainConfig from --seed's batch-order seed for `variant` (none for ablate), a JSON file, then the flags."""
+def _train_config(path: str | None, args: argparse.Namespace) -> TrainConfig:
+    """TrainConfig from an optional JSON file, then the flags; a file that sets `seed` is a config error."""
     values = _read_config(path, "train", TrainConfig) if path else {}
-    if variant is None and "seed" in values:
-        raise InvalidConfigError(f"train config {path} sets seed; ablate derives every seed from --seed")
-    values = ({} if variant is None else {"seed": order_seed(args.seed, normalize_variant(variant))}) | values
+    if "seed" in values:
+        raise InvalidConfigError(f"train config {path} sets seed; every seed derives from --seed")
     for name in ("batch_size", "max_epochs", "step_size"):
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
@@ -216,14 +209,13 @@ def run_train(
         },
     )
     metrics_path = out / "train_metrics.csv"
-    with _writing(metrics_path), open(metrics_path, "w", encoding="utf-8") as handle:
-        handle.write("epoch,train_loss,val_loss,seconds\n")
-        for epoch, tr, vl, sec in report.rows():
-            handle.write(f"{epoch},{tr:.6f},{vl:.6f},{sec:.3f}\n")
+    run = CellResult(best.config.variant, dataset.T, dataset.FT, K, dataset.quota, seed, report=report)
+    with _writing(metrics_path):
+        write_loss_curves([run], metrics_path)
     _write_manifest(
         out,
         "train",
-        {"variant": best.config.variant, "K": K, "train": dataclasses.asdict(train_config)},
+        {"variant": best.config.variant, "K": K, "train": dataclasses.asdict(train_config) | {"seed": None}},
         seed,
         {"checkpoint": ckpt, "report": report_path, "metrics": metrics_path},
     )
@@ -271,7 +263,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    train_config = _train_config(args.config, args, args.variant)
+    train_config = _train_config(args.config, args)
     return run_train(Path(args.archive), Path(args.out), args.variant, args.K, args.seed, train_config, args.quiet)
 
 
@@ -290,7 +282,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
     )
     sessions = load_sessions(args.logs)
-    train_config = _train_config(args.config, args, None)
+    train_config = _train_config(args.config, args)
     out = Path(args.out)
     _make_out_dir(out)
     results = run_ablation(sessions, sweep, train_config)
@@ -362,7 +354,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Chain synth -> prepare -> train -> eval into one run directory."""
     out = Path(args.out)
     quota = _parse_quota(args.quota)
-    train_config = _train_config(args.train_config, args, args.variant)
+    train_config = _train_config(args.train_config, args)
     ModelConfig(T=args.T, FT=args.FT, K=args.K, quota=quota, variant=args.variant)  # fails before anything is written
     run_synth(_synth_config(args.synth_config, args.seed), out / "logs")
     run_prepare(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 import time
 import warnings
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import InvalidConfigError, SpeedcastError
 from .ingest import ClipDataset, build_dataset
 from .model import VARIANTS, ModelConfig, ModelParams, model_forward, normalize_variant
-from .seeding import order_seed, split_seed
+from .seeding import split_seed
 from .train import COMPUTE_DTYPE, TrainConfig, TrainReport, train_variant, variant_config
 from .types import NUM_ACTIONS, CategoryQuota, FrameDetections, SensorSample
 
@@ -172,8 +171,7 @@ def run_ablation(
             if key not in datasets:
                 datasets[key] = build_dataset(sessions, T=t, FT=ft, quota=quota, seed=split_seed(seed))
             dataset = datasets[key]
-            config = dataclasses.replace(train_config, seed=order_seed(seed, variant))
-            best, report = train_variant(dataset, variant_config(dataset, variant, k), seed, config)
+            best, report = train_variant(dataset, variant_config(dataset, variant, k), seed, train_config)
             cell.metrics = evaluate(best, *dataset.subset(dataset.test_idx))
             cell.report = report
         except SpeedcastError as exc:
@@ -190,12 +188,13 @@ def write_results_table(results: Sequence[CellResult], path: str | Path) -> None
 
 
 def write_loss_curves(results: Sequence[CellResult], path: str | Path) -> None:
-    """Per-epoch loss series per cell, for external plotting."""
+    """One row per epoch of each trained cell: its losses and seconds, floats at full precision."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["variant", "T", "FT", "K", "seed", "epoch", "train_loss", "val_loss"])
+        writer.writerow(["variant", "T", "FT", "K", "seed", "epoch", "train_loss", "val_loss", "seconds"])
         for cell in results:
             if cell.report is None:
                 continue
-            for epoch, tr, vl, _ in cell.report.rows():
-                writer.writerow([cell.variant, cell.T, cell.FT, cell.K, cell.seed, epoch, tr, vl])
+            r = cell.report
+            for epoch, row in enumerate(zip(r.train_losses, r.val_losses, r.epoch_seconds), start=1):
+                writer.writerow([cell.variant, cell.T, cell.FT, cell.K, cell.seed, epoch, *row])

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import tokenize
 import warnings
 import zipfile
+import zlib
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -51,28 +53,36 @@ _CLIPSET_KEYS = {
 }
 
 
+# What numpy and zipfile raise on damaged `.npz` bytes: a broken zip structure, `.npy`
+# header or compressed stream, a truncated member, or a zip feature they do not support.
+_DAMAGED_ARCHIVE = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile, zlib.error, tokenize.TokenError)
+
+
 def read_archive(path: str | Path, kind: str) -> dict[str, np.ndarray]:
     """Every array of the `.npz` archive at `path`, by name.
 
-    A file that cannot be opened raises InvalidConfigError naming `path`. A
-    file of any other format, or an array that numpy reads only by unpickling
-    (an object array), raises InvalidRecordError naming it.
+    A file that cannot be opened raises InvalidConfigError naming `path`. A file of any
+    other format raises InvalidRecordError naming it, and a damaged array, or one numpy
+    reads only by unpickling (an object array), InvalidRecordError naming the array.
     """
     try:
-        data = np.load(path, allow_pickle=False)
+        handle = open(path, "rb")
     except OSError as exc:
         raise InvalidConfigError(f"cannot read {kind} archive {path}: {exc.strerror or exc}") from exc
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise InvalidRecordError(f"{path} is not a {kind} archive: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise InvalidRecordError(f"{path} is not a {kind} archive: it holds a single array")
-    arrays = {}
-    with data:
-        for key in data.files:
-            try:
-                arrays[key] = data[key]
-            except ValueError as exc:
-                raise InvalidRecordError(f"{kind} array {key} cannot be read: {exc}") from exc
+    with handle:
+        try:
+            data = np.load(handle, allow_pickle=False)
+        except _DAMAGED_ARCHIVE as exc:
+            raise InvalidRecordError(f"{path} is not a {kind} archive: {exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise InvalidRecordError(f"{path} is not a {kind} archive: it holds a single array")
+        arrays = {}
+        with data:
+            for key in data.files:
+                try:
+                    arrays[key] = data[key]
+                except _DAMAGED_ARCHIVE as exc:
+                    raise InvalidRecordError(f"{kind} array {key} cannot be read: {exc}") from exc
     return arrays
 
 
@@ -503,23 +513,24 @@ def _read_jsonl(
 ) -> dict[str, list[_Record]]:
     """Parse every non-blank line with `parse` into per-session lists ordered by frame index.
 
-    A line that is not a JSON object with a string `session`, a record that
-    `parse` rejects, or a second record for the same session and frame index
+    A line that is not UTF-8 or not a JSON object with a string `session`, a record
+    that `parse` rejects, or a second record for the same session and frame index
     raises InvalidRecordError naming `path:line`; a file that cannot be opened
     raises InvalidConfigError naming `path`.
     """
     sessions: dict[str, list[_Record]] = {}
     first_line: dict[tuple[str, int], int] = {}
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as exc:
         raise InvalidConfigError(f"cannot read {kind} log {path}: {exc.strerror or exc}") from exc
     with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        # Lines end at \n, \r\n or \r, as in a text-mode read; each is decoded in the `try`.
+        for lineno, raw in enumerate((line for chunk in handle for line in chunk.splitlines()), start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 if not isinstance(rec, dict) or not isinstance(rec.get("session"), str):
                     raise InvalidRecordError("not a JSON object with a string session")

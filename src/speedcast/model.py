@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -574,10 +575,10 @@ def _stack_v1_gates(tensors: dict[str, np.ndarray], params: ModelParams) -> None
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Rebuild the parameters `save_checkpoint` wrote, at this schema or at /1.
 
-    A file that is not an `.npz` archive, an array numpy reads only by
-    unpickling, a missing field or tensor, a config that lacks a field or has an
-    unknown one, an unexpected tensor, or a tensor of the wrong shape, not
-    float64 or not finite raises InvalidRecordError naming it.
+    A file that is not an `.npz` archive, a corrupt array or one numpy reads only by
+    unpickling, a missing field or tensor, a config that lacks a field, has an unknown
+    one or describes more weights than the file stores, an unexpected tensor, or a
+    tensor of the wrong shape, not float64 or not finite raises InvalidRecordError naming it.
     """
     tensors = read_archive(path, "checkpoint")
     missing = [key for key in _CHECKPOINT_META if key not in tensors]
@@ -590,7 +591,17 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     seed = tensors.pop("seed")
     if seed.shape != () or seed.dtype.kind not in "iu":
         raise InvalidRecordError(f"checkpoint seed: stored {seed.dtype} {seed.shape}, expected one integer")
-    params = _build_params(config, int(seed), lambda shape, *_: np.empty(shape))
+    # A config far larger than the file's tensors fails before its weights are allocated.
+    unclaimed = sum(arr.size for arr in tensors.values())  # no bias outgrows its weight
+
+    def empty(shape: tuple[int, ...], *_: int) -> np.ndarray:
+        nonlocal unclaimed
+        unclaimed -= math.prod(shape)
+        if unclaimed < 0:
+            raise InvalidRecordError(f"checkpoint {path}: its model config describes more weights than it stores")
+        return np.empty(shape)
+
+    params = _build_params(config, int(seed), empty)
     if schema == _CHECKPOINT_SCHEMA_V1:
         _stack_v1_gates(tensors, params)
     params.load_arrays(tensors)

@@ -9,7 +9,7 @@ checkpoints and the gradient check use the float64 weights.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidConfigError, NumericFaultError
 from .ingest import ClipDataset
 from .model import ModelConfig, ModelParams, init_params, model_backward, model_forward
-from .seeding import derive_seed
+from .seeding import derive_seed, order_seed
 from .types import check_field_types
 
 COMPUTE_DTYPE = np.float32  # dtype of each training batch's forward and backward
@@ -182,14 +182,6 @@ class TrainReport:
     def aborted(self) -> bool:
         return self.fault is not None
 
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        return [
-            (e + 1, tr, vl, sec)
-            for e, (tr, vl, sec) in enumerate(
-                zip(self.train_losses, self.val_losses, self.epoch_seconds)
-            )
-        ]
-
 
 def train(
     dataset: ClipDataset,
@@ -265,8 +257,11 @@ def variant_config(dataset: ClipDataset, variant: str, K: int) -> ModelConfig:
 def train_variant(
     dataset: ClipDataset, model: ModelConfig, seed: int, config: TrainConfig, progress: Optional[Callable] = None
 ) -> tuple[ModelParams, TrainReport]:
-    """Initialise `model` from run seed `seed` and `train` it on `dataset` with `config`."""
-    return train(dataset, init_params(model, seed=derive_seed(seed, "init", model.variant)), config, progress)
+    """Initialise `model` and `train` it on `dataset` with `config`, with both seeds from run seed `seed`.
+
+    The batch-order seed replaces `config.seed`, which is not read."""
+    params = init_params(model, seed=derive_seed(seed, "init", model.variant))
+    return train(dataset, params, replace(config, seed=order_seed(seed, model.variant)), progress)
 
 
 def _frame_batch(windows: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

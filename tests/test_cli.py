@@ -251,6 +251,21 @@ class TestTrainEvalCommands:
         assert main(["eval", "--archive", str(archive), "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 3
         assert "CategoryQuota field n_car must be an integer, got 3.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"K": 10**9}, {"graph_widths": [10**12, 32]}, {"K": 10**20}],
+        ids=["K-1e9", "graph-width-1e12", "K-1e20"],
+    )
+    def test_checkpoint_config_larger_than_its_tensors_is_data_error(self, trained, tmp_path, capsys, change):
+        with np.load(trained / "model" / "checkpoint.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["config"] = np.array(json.dumps(json.loads(str(arrays["config"])) | change))
+        checkpoint = tmp_path / "checkpoint.npz"
+        np.savez(checkpoint, **arrays)
+        assert main(["eval", "--archive", str(trained / "data" / "clips.npz"), "--checkpoint", str(checkpoint)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {checkpoint}: its model config describes more weights than it stores\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_numeric_fault_is_located_in_train_report(self, trained, tmp_path):
         """A step size of 1e300 overflows the weights after the first step, so the second batch faults."""
@@ -287,8 +302,17 @@ class TestTrainEvalCommands:
         assert report["stop_epoch"] == 2
         assert not report["aborted"] and report["fault"] is None
         lines = (trained / "model" / "train_metrics.csv").read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,seconds"
-        assert len(lines) == 3
+        assert lines[0] == "variant,T,FT,K,seed,epoch,train_loss,val_loss,seconds"
+        assert [line.split(",")[:6] for line in lines[1:]] == [["base", "4", "1", "1", "0", str(e)] for e in (1, 2)]
+        # Losses are written at full precision: the best epoch's row holds the report's float exactly.
+        assert float(lines[report["best_epoch"]].split(",")[7]) == report["best_val_loss"]
+
+    def test_manifest_records_train_config_without_seed(self, trained):
+        """Every seed of a run derives from --seed, so the train config's `seed` is recorded as null."""
+        manifest = json.loads((trained / "model" / "run_manifest.json").read_text())
+        assert manifest["master_seed"] == 0
+        train = manifest["config"]["train"]
+        assert (train["batch_size"], train["max_epochs"], train["seed"]) == (128, 2, None)
 
     def test_eval_prints_metrics(self, trained, capsys):
         rc = main(
@@ -582,13 +606,18 @@ class TestAblateCommand:
         assert (train["batch_size"], train["max_epochs"], train["patience"]) == (128, 1, 7)
         assert train["step_size"] == 0.001 and train["seed"] is None  # every cell derives its own from --seed
 
-    def test_config_that_sets_seed_is_config_error(self, logs_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "pipeline", "ablate"])
+    def test_config_that_sets_seed_is_config_error(self, trained, logs_dir, tmp_path, capsys, command):
+        """`--seed` is the one seed of every trained run, so no command takes a train config `seed`."""
         config = tmp_path / "train.json"
         config.write_text('{"seed": 5}')
-        rc = main(["ablate", "--logs", str(logs_dir), "--out", str(tmp_path / "out"), "--config", str(config)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: train config {config} sets seed; ablate derives every seed from --seed" in err
+        args = {
+            "train": ["train", "--archive", str(trained / "data" / "clips.npz"), "--config", str(config)],
+            "pipeline": ["pipeline", "--train-config", str(config)],
+            "ablate": ["ablate", "--logs", str(logs_dir), "--config", str(config)],
+        }[command]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: train config {config} sets seed; every seed derives from --seed\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0"])
@@ -616,7 +645,8 @@ E2E_SETTINGS = ["--T", "4", "--quota", "3,2,1", "--batch-size", "128", "--max-ep
 
 @pytest.fixture(scope="module")
 def separate_runs(logs_dir, tmp_path_factory):
-    """`prepare` + `train` + `eval` per (seed, variant): eval's printed recalls and accuracy, and the val losses."""
+    """`prepare` + `train` + `eval` per (seed, variant): eval's printed recalls and accuracy, and the
+    first 8 columns of each train_metrics.csv row (all but the seconds)."""
     runs = {}
     for seed, variant in [(0, "full"), (0, "base"), (1, "full")]:
         root = tmp_path_factory.mktemp(f"run_{seed}_{variant}")
@@ -629,8 +659,8 @@ def separate_runs(logs_dir, tmp_path_factory):
             assert main(["eval", "--archive", str(archive), "--checkpoint", str(model / "checkpoint.npz")]) == 0
         lines = printed.getvalue().splitlines()
         shown = [line.split(": ")[1] for line in lines if line.startswith(("recall", "accuracy"))]
-        val_losses = [line.split(",")[2] for line in (model / "train_metrics.csv").read_text().splitlines()[1:]]
-        runs[seed, variant] = (["" if x == "undefined" else x for x in shown], val_losses)
+        epochs = [line.split(",")[:8] for line in (model / "train_metrics.csv").read_text().splitlines()[1:]]
+        runs[seed, variant] = (["" if x == "undefined" else x for x in shown], epochs)
     return runs
 
 
@@ -647,10 +677,10 @@ class TestAblateRowIsPrepareTrainEval:
         curves = (tmp_path / "loss_curves.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         for variant, row in zip(["full", "base"], rows):
-            shown, val_losses = separate_runs[0, variant]
+            shown, epochs = separate_runs[0, variant]
             assert row.startswith(f"{variant},4,1,2,3,2,1,0,") and scores(row) == shown
-            cell_losses = [line.split(",")[7] for line in curves if line.startswith(f"{variant},")]
-            assert [f"{float(v):.6f}" for v in cell_losses] == val_losses
+            # Both tables come from one writer: all but the seconds column match to the last digit.
+            assert [line.split(",")[:8] for line in curves if line.startswith(f"{variant},")] == epochs
 
     def test_each_seed_of_a_sweep_matches_its_own_run(self, logs_dir, separate_runs):
         spec = SweepSpec(T_set=(4,), K_set=(2,), variants=("full",), quotas=(CategoryQuota(3, 2, 1),), seeds=(0, 1))

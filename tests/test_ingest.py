@@ -456,6 +456,24 @@ class TestLogIO:
             reader(path)
         assert main(["prepare", "--logs", str(logs), "--out", str(logs / "out")]) == 3
 
+    def test_line_that_is_not_utf8_is_malformed_record_with_its_line(self, tmp_path):
+        """A byte that is not UTF-8 fails its own line, and `prepare` with exit 3, like any bad record."""
+        path = tmp_path / "detections.jsonl"
+        path.write_bytes(json.dumps(DETECTION_RECORD).encode() + b"\n\xff" + json.dumps(DETECTION_RECORD).encode())
+        (tmp_path / "sensors.jsonl").write_text(json.dumps(SENSOR_RECORD) + "\n")
+        with pytest.raises(InvalidRecordError, match=re.escape(f"{path}:2: malformed detection record: ")):
+            read_detection_log(path)
+        assert main(["prepare", "--logs", str(tmp_path), "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_lines_are_counted_at_every_line_ending(self, tmp_path, ending):
+        """A record's line number counts blank lines and \\n, \\r\\n or \\r endings, as a text-mode read does."""
+        path = tmp_path / "sensors.jsonl"
+        rows = [json.dumps(SENSOR_RECORD), "", json.dumps({**SENSOR_RECORD, "frame_index": 4}), "{"]
+        path.write_bytes(ending.join(rows).encode())
+        with pytest.raises(InvalidRecordError, match=re.escape(f"{path}:4: malformed sensor record")):
+            read_sensor_log(path)
+
     def test_frames_sorted_by_index(self, tmp_path):
         path = tmp_path / "detections.jsonl"
         rows = [

@@ -568,6 +568,25 @@ class TestCheckpoint:
         with pytest.raises(InvalidRecordError, match=named):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"K": 10**9}, {"graph_widths": [10**12, 32]}, {"K": 10**20}, {"lstm_hidden": 10**10}, {"lstm_hidden": 2000}],
+        ids=["K-1e9", "graph-width-1e12", "K-1e20", "lstm-hidden-1e10", "lstm-hidden-2000"],
+    )
+    def test_config_larger_than_its_tensors_fails_before_allocating(self, tiny_model_config, tmp_path, change):
+        """The stored config's weights are counted against the stored tensors before any is allocated."""
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(init_params(tiny_model_config, seed=9), path)
+        self._rewrite(path, lambda d: d.update({"config": edit_config(d["config"], **change)}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRecordError, match=f"checkpoint {re.escape(str(path))}: .* more weights than"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24  # 16 MiB; an LSTM of 2000 units alone would take 128 MiB per layer
+
     def test_schema_1_checkpoint_loads_to_stored_probabilities(self):
         """A per-gate checkpoint written before the fused layout predicts exactly as it did."""
         params = load_checkpoint(DATA / "checkpoint_v1_full.npz")

@@ -5,6 +5,7 @@ import pytest
 from speedcast import train as train_module
 from speedcast.errors import InvalidConfigError, NumericFaultError
 from speedcast.model import ModelConfig, init_params, model_forward, save_checkpoint
+from speedcast.seeding import derive_seed, order_seed
 from speedcast.train import (
     AdamState,
     EarlyStopper,
@@ -14,6 +15,7 @@ from speedcast.train import (
     gradient_check,
     loss_and_grads,
     train,
+    train_variant,
 )
 
 from conftest import TINY_QUOTA, random_batch
@@ -378,3 +380,25 @@ class TestTrainLoop:
         params = init_params(tiny_model_config, seed=0)
         with pytest.raises(InvalidConfigError):
             train(broken, params, TrainConfig(max_epochs=1))
+
+
+class TestTrainVariant:
+    def test_both_seeds_derive_from_the_run_seed(self, small_dataset, monkeypatch):
+        """The init and batch-order seeds come from the run seed and the variant; `config.seed` is unread."""
+        cfg = ModelConfig(
+            T=small_dataset.T, FT=small_dataset.FT, K=1, quota=small_dataset.quota,
+            graph_widths=(4, 8), mlp_widths=(8, 8), variant="base",
+        )
+        calls = []
+
+        def spy(dataset, params, config, progress):
+            calls.append((params, config.seed))
+
+        monkeypatch.setattr(train_module, "train", spy)
+        for config_seed in (0, 99):
+            train_variant(small_dataset, cfg, 3, TrainConfig(max_epochs=1, seed=config_seed))
+        assert [seed for _, seed in calls] == [order_seed(3, "base")] * 2
+        expected = init_params(cfg, seed=derive_seed(3, "init", "base"))
+        for params, _ in calls:
+            for name, arr in expected.named_arrays():
+                np.testing.assert_array_equal(params.arrays()[name], arr)
