@@ -342,7 +342,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     print("tensor: worst coordinate error (the gate), norm-wise error")
     for name in sorted(worst, key=lambda n: (worst[n], normwise[n]), reverse=True):
         print(f"  {name}: {worst[name]:.3e}  {normwise[name]:.3e}")
-    print(f"max relative error {worst_overall:.3e} (tolerance {args.tolerance:.1e})")
+    print(
+        f"max relative error {worst_overall:.3e} (tolerance {args.tolerance:.1e}), "
+        f"largest norm-wise error {max(normwise.values()):.3e}"
+    )
     if worst_overall > args.tolerance:
         print("gradient check FAILED", file=sys.stderr)
         return 5

@@ -119,28 +119,6 @@ def derive_label(sensor: SensorSample) -> Optional[Action]:
     return None
 
 
-def clip_eligible(
-    window: Sequence[FrameDetections], sensors_by_frame: dict[int, SensorSample]
-) -> bool:
-    """True iff every covered frame is turn-free and the window starts moving.
-
-    "Moving" uses the record's explicit is_moving flag when present, else the
-    heuristic that at least one pedal is active at the first frame.
-    """
-    if not window:
-        return False
-    for frame in window:
-        sensor = sensors_by_frame.get(frame.frame_index)
-        if sensor is None:
-            raise DataAlignmentError(f"no sensor row for frame {frame.frame_index}")
-        if abs(sensor.steering_angle) > MAX_STEERING_DEG:
-            return False
-    first = sensors_by_frame[window[0].frame_index]
-    if first.is_moving is not None:
-        return bool(first.is_moving)
-    return first.brake_pressure > 0 or first.accel_pedal > 0
-
-
 def select_top_n(
     frame: FrameDetections, quota: CategoryQuota
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,45 +165,49 @@ def assemble_clips(
     holds each frame some clip uses once, in session order, and the per-clip
     arrays `windows` (m, T) (the row of the frame table for each history step),
     `labels`, `anchors` (frame index of position i) and `scenarios`, named like
-    the ClipDataset fields they fill.
+    the ClipDataset fields they fill. A session of at least T + FT frames needs
+    a sensor row for every frame: the first frame without one raises
+    DataAlignmentError. A shorter session yields no clip and is not checked.
     """
     if T < 1:
         raise InvalidConfigError(f"history length T must be >= 1, got {T}")
     if FT < 1:
         raise InvalidConfigError(f"future offset FT must be >= 1, got {FT}")
     sensors_by_frame = {s.frame_index: s for s in sensors}
-    positions: list[int] = []
-    labels: list[int] = []
-    scenarios: list[str] = []
-    frame_feats = np.zeros((len(frames), quota.total, 4), dtype=np.float64)
-    frame_mask = np.zeros((len(frames), quota.total), dtype=bool)
-    filled = np.zeros(len(frames), dtype=bool)
-    for i in range(T - 1, len(frames) - FT):
-        target_frame = frames[i + FT].frame_index
-        target_sensor = sensors_by_frame.get(target_frame)
-        if target_sensor is None:
-            raise DataAlignmentError(f"no sensor row for frame {target_frame}")
-        label = derive_label(target_sensor)
-        if label is None:
-            continue
-        if not clip_eligible(frames[i - T + 1 : i + 1], sensors_by_frame):
-            continue
-        for pos in range(i - T + 1, i + 1):
-            if not filled[pos]:
-                frame_feats[pos], frame_mask[pos] = select_top_n(frames[pos], quota)
-                filled[pos] = True
-        positions.append(i)
-        labels.append(int(label))
-        scenarios.append(target_sensor.scenario)
-    row_of = np.cumsum(filled, dtype=np.int64) - 1  # frame table row of each filled position
-    windows = np.asarray(positions, dtype=np.int64)[:, None] + np.arange(1 - T, 1)
+    rows = []
+    if len(frames) >= T + FT:  # the session holds at least one anchor position
+        for frame in frames:
+            row = sensors_by_frame.get(frame.frame_index)
+            if row is None:
+                raise DataAlignmentError(f"no sensor row for frame {frame.frame_index}")
+            rows.append(row)
+    # Each frame's label code (-1 for coasting), turn flag and moving flag; "moving" is
+    # the record's is_moving flag when set, else at least one active pedal.
+    code = np.array([-1 if (label := derive_label(s)) is None else label for s in rows], dtype=np.int64)
+    turning = np.array([abs(s.steering_angle) > MAX_STEERING_DEG for s in rows], dtype=bool)
+    moving = np.array(
+        [s.brake_pressure > 0 or s.accel_pedal > 0 if s.is_moving is None else s.is_moving for s in rows],
+        dtype=bool,
+    )
+    turns_before = np.concatenate([[0], np.cumsum(turning, dtype=np.int64)])
+    start = np.arange(len(rows) - T - FT + 1)  # first history position of each anchor
+    keep = (code[start + T - 1 + FT] >= 0) & moving[start] & (turns_before[start + T] == turns_before[start])
+    positions = start[keep] + T - 1
+    windows = positions[:, None] + np.arange(1 - T, 1)
+    used = np.zeros(len(frames), dtype=bool)
+    used[windows] = True
+    frame_feats = np.zeros((used.sum(), quota.total, 4), dtype=np.float64)
+    frame_mask = np.zeros((len(frame_feats), quota.total), dtype=bool)
+    for row, pos in enumerate(np.flatnonzero(used)):
+        frame_feats[row], frame_mask[row] = select_top_n(frames[pos], quota)
+    row_of = np.cumsum(used, dtype=np.int64) - 1  # frame table row of each used position
     return {
-        "frames": frame_feats[filled],
-        "frame_mask": frame_mask[filled],
+        "frames": frame_feats,
+        "frame_mask": frame_mask,
         "windows": row_of[windows],
-        "labels": np.asarray(labels, dtype=np.int64),
+        "labels": code[positions + FT],
         "anchors": np.asarray([frames[i].frame_index for i in positions], dtype=np.int64),
-        "scenarios": np.asarray(scenarios, dtype="U16"),
+        "scenarios": np.asarray([rows[i + FT].scenario for i in positions], dtype="U16"),
     }
 
 

@@ -9,7 +9,6 @@ against central finite differences in float64 in the test suite.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 from dataclasses import astuple, dataclass, field, fields
@@ -206,9 +205,22 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Seeded fan-in-scaled uniform init; zero biases except forget gates at +1."""
+    """Seeded fan-in-scaled uniform init; zero biases except forget gates at +1.
+
+    A weight numpy refuses to shape or cannot allocate raises InvalidConfigError
+    naming the variant and K; no bias is larger than the weight made before it.
+    """
     rng = np.random.default_rng(seed)
-    return _build_params(config, seed, functools.partial(_glorot, rng))
+
+    def weight(shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+        try:
+            return _glorot(rng, shape, fan_in, fan_out)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidConfigError(
+                f"variant {config.variant} with K={config.K} is too large to allocate: a {shape} weight ({exc})"
+            ) from exc
+
+    return _build_params(config, seed, weight)
 
 
 def _build_params(

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from speedcast import train as train_module
 from speedcast.cli import main
 from speedcast.evaluation import SweepSpec, run_ablation
 from speedcast.ingest import ClipDataset, load_sessions
+from speedcast.synth import SynthConfig, SynthResult, write_logs
 from speedcast.train import TrainConfig
-from speedcast.types import CategoryQuota
+from speedcast.types import CategoryQuota, DetectedObject, FrameDetections, SensorSample
 
 
 def sha256(path):
@@ -107,6 +109,17 @@ class TestPrepareCommand:
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "s000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("brake", [0.0, 1500.0], ids=["coasting", "braking"])
+    def test_missing_sensor_row_is_data_error_naming_the_frame(self, tmp_path, capsys, brake):
+        """A missing row fails whether or not any target of the session has a label."""
+        box = DetectedObject("car", (100.0, 100.0, 300.0, 250.0), 0.9)
+        frames = [FrameDetections(i, i / 3.0, 1280, 720, [box]) for i in range(12)]
+        sensors = [SensorSample(i, brake, 0.0, 0.0, "urban", True) for i in range(12) if i != 5]
+        write_logs(SynthResult({"s000": (frames, sensors)}, {}, SynthConfig()), tmp_path / "logs")
+        rc = main(["prepare", "--logs", str(tmp_path / "logs"), "--out", str(tmp_path / "out"), "--T", "8"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: no sensor row for frame 5\n"
 
     @pytest.mark.parametrize("flag", ["--source-fps", "--target-fps"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -295,6 +308,12 @@ class TestTrainEvalCommands:
             manifest = json.loads((tmp_path / spelling / "run_manifest.json").read_text())
             assert manifest["config"]["variant"] == "full"
         assert sha256(tmp_path / "Full" / "checkpoint.npz") == sha256(tmp_path / "full" / "checkpoint.npz")
+
+    def test_model_too_large_to_allocate_is_config_error(self, trained, tmp_path, capsys):
+        args = ["train", "--archive", str(trained / "data" / "clips.npz"), "--out", str(tmp_path / "out")]
+        assert main(args + ["--variant", "base", "--K", str(10**20)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: variant base with K={10**20} is too large to allocate: ")
 
     def test_train_artifacts(self, trained):
         assert (trained / "model" / "checkpoint.npz").exists()
@@ -553,6 +572,17 @@ class TestGradcheckCommand:
         for name, worst, normwise in rows:
             assert 0.0 < float(normwise) < 1e-4, name
 
+    def test_summary_shows_the_largest_normwise_error(self, gradcheck_seed0):
+        """The gate reads 0 when every coordinate is under the floor; the summary still shows the margin."""
+        _, out = gradcheck_seed0
+        rows = [line.split() for line in out.splitlines() if line.startswith("  ")]
+        summary = re.fullmatch(
+            r"max relative error (\S+) \(tolerance 1\.0e-04\), largest norm-wise error (\S+)",
+            out.splitlines()[-2],
+        )
+        assert summary and float(summary[1]) == max(float(worst) for _, worst, _ in rows)
+        assert summary[2] == max((normwise for _, _, normwise in rows), key=float)
+
     def test_halved_lstm_bias_gradient_fails(self, monkeypatch, capsys):
         real = train_module.loss_and_grads
 
@@ -627,6 +657,22 @@ class TestAblateCommand:
         assert main(["ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base", flag]) == 2
         assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
         assert not out.exists()
+
+    def test_cell_too_large_to_allocate_fails_as_a_row(self, logs_dir, tmp_path, capsys):
+        """The sweep goes on past a model numpy refuses to shape and writes its table."""
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base",
+                "--K", "1", str(10**20), "--T", "4", "--quota", "3,2,1", "--max-epochs", "1",
+            ]
+        )
+        assert rc == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert rows[0].startswith("base,4,1,1,") and not rows[0].endswith(",,,,,,")
+        assert rows[1] == f"base,4,1,{10**20},3,2,1,0,,,,,,"
+        err = capsys.readouterr().err
+        assert f"failed base T=4 FT=1 K={10**20}: InvalidConfigError: variant base with K={10**20} is too large" in err
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(

@@ -19,7 +19,6 @@ from speedcast.ingest import (
     ClipDataset,
     assemble_clips,
     build_dataset,
-    clip_eligible,
     derive_label,
     downsample,
     load_sessions,
@@ -91,26 +90,49 @@ class TestDeriveLabel:
         assert derive_label(sensor(0, brake=0.0, accel=22.0)) == Action.FULL_ACCELERATION
 
 
-class TestEligibility:
-    def test_turn_anywhere_in_window_disqualifies(self):
-        frames = [frame(i) for i in range(3)]
-        sensors = {i: sensor(i) for i in range(3)}
-        assert clip_eligible(frames, sensors)
-        sensors[1] = sensor(1, steer=31.0)
-        assert not clip_eligible(frames, sensors)
+class TestClipRule:
+    """Which anchors `assemble_clips` keeps: a turn-free window, moving at its start, a non-coast target."""
+
+    def _anchors(self, sensors, T=3, FT=1):
+        frames = [frame(s.frame_index, [car()]) for s in sensors]
+        return assemble_clips(frames, sensors, T=T, FT=FT, quota=QUOTA)["anchors"].tolist()
+
+    @pytest.mark.parametrize("steer", [31.0, -31.0])
+    def test_turn_anywhere_in_window_disqualifies(self, steer):
+        assert self._anchors([sensor(i) for i in range(6)]) == [2, 3, 4]
+        for turn in range(6):  # frame 5 is only a target, never history
+            sensors = [sensor(i, steer=steer if i == turn else 0.0) for i in range(6)]
+            assert self._anchors(sensors) == [a for a in (2, 3, 4) if not a - 2 <= turn <= a], turn
 
     def test_boundary_steering_is_allowed(self):
-        frames = [frame(0)]
-        assert clip_eligible(frames, {0: sensor(0, steer=30.0)})
+        sensors = [sensor(i, steer=30.0 if i % 2 else -30.0) for i in range(6)]
+        assert self._anchors(sensors) == [2, 3, 4]
 
     def test_not_moving_at_window_start_disqualifies(self):
-        frames = [frame(0), frame(1)]
-        sensors = {0: sensor(0, moving=False), 1: sensor(1)}
-        assert not clip_eligible(frames, sensors)
+        sensors = [sensor(i, moving=i != 1) for i in range(6)]
+        assert self._anchors(sensors) == [2, 4]  # anchor 3's window starts at frame 1
 
-    def test_missing_sensor_row_raises(self):
-        with pytest.raises(DataAlignmentError):
-            clip_eligible([frame(5)], {})
+    @pytest.mark.parametrize(
+        "pedals, kept",
+        [(dict(brake=0.0, accel=0.0), [2, 4]), (dict(brake=100.0, accel=0.0), [2, 3, 4]), (dict(accel=5.0), [2, 3, 4])],
+    )
+    def test_pedals_decide_moving_when_the_flag_is_unset(self, pedals, kept):
+        sensors = [sensor(i, **pedals, moving=None) if i == 1 else sensor(i) for i in range(6)]
+        assert self._anchors(sensors) == kept
+
+    @pytest.mark.parametrize("brake", [0.0, 1500.0], ids=["coasting", "braking"])
+    def test_missing_sensor_row_raises_whatever_the_pedals(self, brake):
+        frames = [frame(i) for i in range(12)]
+        sensors = [sensor(i, brake=brake, accel=0.0) for i in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11)]
+        with pytest.raises(DataAlignmentError, match="^no sensor row for frame 5$"):
+            assemble_clips(frames, sensors, T=8, FT=1, quota=QUOTA)
+        with pytest.raises(DataAlignmentError, match="^no sensor row for frame 2$"):
+            assemble_clips(frames, sensors[:2] + sensors[3:], T=8, FT=1, quota=QUOTA)
+
+    def test_session_too_short_for_an_anchor_is_not_checked(self):
+        frames = [frame(i) for i in range(8)]
+        clips = assemble_clips(frames, [], T=8, FT=1, quota=QUOTA)
+        assert clips["windows"].shape == (0, 8)
 
 
 class TestSelectTopN:

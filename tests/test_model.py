@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speedcast import model as model_module
 from speedcast.errors import InvalidConfigError, InvalidRecordError, ShapeError
 from speedcast.model import (
     VARIANTS,
@@ -123,6 +124,27 @@ class TestInit:
     def test_non_temporal_variants_have_no_lstm(self):
         cfg = ModelConfig(variant="base_multi", quota=TINY_QUOTA)
         assert init_params(cfg, seed=0).lstm == {}
+
+    def test_weight_numpy_refuses_to_shape_is_config_error(self):
+        cfg = ModelConfig(variant="base", K=10**20, quota=TINY_QUOTA)
+        with pytest.raises(InvalidConfigError, match=f"^variant base with K={10**20} is too large to allocate"):
+            init_params(cfg)
+
+    def test_weight_that_cannot_be_allocated_is_config_error(self, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(model_module, "_glorot", refuse)
+        with pytest.raises(InvalidConfigError, match=r"^variant full with K=3 is too large to allocate: .*no room"):
+            init_params(ModelConfig(K=3, quota=TINY_QUOTA))
+
+    def test_other_value_errors_are_not_masked(self, monkeypatch):
+        def broken(**_):
+            raise ValueError("not an allocation")
+
+        monkeypatch.setattr(model_module, "MlpParams", broken)
+        with pytest.raises(ValueError, match="^not an allocation$"):
+            init_params(ModelConfig(quota=TINY_QUOTA))
 
 
 @st.composite
