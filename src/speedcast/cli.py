@@ -22,7 +22,7 @@ from .evaluation import (
     write_loss_curves,
     write_results_table,
 )
-from .ingest import ClipDataset, build_dataset, load_sessions
+from .ingest import ClipDataset, build_dataset, frame_stride, load_sessions
 from .model import VARIANTS, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .seeding import derive_seed, split_seed
 from .synth import SynthConfig, generate, write_logs
@@ -358,7 +358,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     quota = _parse_quota(args.quota)
     train_config = _train_config(args.train_config, args)
-    ModelConfig(T=args.T, FT=args.FT, K=args.K, quota=quota, variant=args.variant)  # fails before anything is written
+    # Both fail before anything is written.
+    ModelConfig(T=args.T, FT=args.FT, K=args.K, quota=quota, variant=args.variant)
+    frame_stride(args.source_fps, args.target_fps)
     run_synth(_synth_config(args.synth_config, args.seed), out / "logs")
     run_prepare(
         out / "logs", out / "dataset", args.T, args.FT, quota, args.seed, args.source_fps, args.target_fps

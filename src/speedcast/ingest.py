@@ -86,17 +86,23 @@ def read_archive(path: str | Path, kind: str) -> dict[str, np.ndarray]:
     return arrays
 
 
-def downsample(
-    frames: Sequence[FrameDetections], source_fps: float, target_fps: float
-) -> list[FrameDetections]:
-    """Keep every round(source/target)-th frame, starting from the first."""
+def frame_stride(source_fps: float, target_fps: float) -> int:
+    """round(source/target), at least 1; InvalidConfigError unless both rates and their ratio are finite and > 0."""
     for name, fps in (("target_fps", target_fps), ("source_fps", source_fps)):
         if not (math.isfinite(fps) and fps > 0):
             raise InvalidConfigError(f"{name} must be a positive finite number, got {fps}")
     if target_fps > source_fps:
         raise InvalidConfigError(f"target_fps {target_fps} exceeds source_fps {source_fps}")
-    stride = max(1, round(source_fps / target_fps))
-    return list(frames[::stride])
+    if not math.isfinite(source_fps / target_fps):
+        raise InvalidConfigError(f"source_fps {source_fps} / target_fps {target_fps} is not a finite frame stride")
+    return max(1, round(source_fps / target_fps))
+
+
+def downsample(
+    frames: Sequence[FrameDetections], source_fps: float, target_fps: float
+) -> list[FrameDetections]:
+    """Keep every `frame_stride(source_fps, target_fps)`-th frame, starting from the first."""
+    return list(frames[:: frame_stride(source_fps, target_fps)])
 
 
 def derive_label(sensor: SensorSample) -> Optional[Action]:

@@ -76,13 +76,9 @@ class ModelConfig:
         return self.graph_widths[-1]
 
     @property
-    def view_dim(self) -> int:
-        """Width of each view's block of the classifier input."""
-        return self.lstm_hidden if self.temporal else self.T * self.pooled_dim
-
-    @property
     def classifier_in_dim(self) -> int:
-        return len(self.views()) * self.view_dim
+        """Width of the classifier input: one equal block per view."""
+        return len(self.views()) * (self.lstm_hidden if self.temporal else self.T * self.pooled_dim)
 
     def to_json(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -233,15 +229,10 @@ def _build_params(
     lstm: dict[str, list[LstmLayerParams]] = {}
     widths = (4,) + tuple(config.graph_widths)
     for view, _ in config.views():
-        layers = []
-        for fin, fout in zip(widths[:-1], widths[1:]):
-            layers.append(
-                ChebLayerParams(
-                    weights=weight((config.K + 1, fin, fout), fin, fout),
-                    bias=np.zeros(fout),
-                )
-            )
-        graph[view] = layers
+        graph[view] = [
+            ChebLayerParams(weights=weight((config.K + 1, fin, fout), fin, fout), bias=np.zeros(fout))
+            for fin, fout in zip(widths[:-1], widths[1:])
+        ]
         if config.temporal:
             lstm_layers = []
             in_dim = config.pooled_dim
@@ -421,7 +412,7 @@ def _lstm_layer_backward(
 
 
 # ---------------------------------------------------------------------------
-# Classifier and full model
+# The two stages, encode a view and classify, and the full model
 # ---------------------------------------------------------------------------
 
 
@@ -431,31 +422,67 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mlp_forward(v: np.ndarray, p: MlpParams) -> tuple[np.ndarray, dict]:
+def encode_view(
+    frames: np.ndarray, mask: np.ndarray, windows: np.ndarray, params: ModelParams, view: str
+) -> tuple[np.ndarray, tuple]:
+    """One view's clip vectors (B, d) from its slots of a frame table read through `windows`, as in `model_forward`.
+
+    The graph encoder runs once per frame, and the pooled rows gathered into the
+    clips' steps go through the view's LSTM or, without one, are flattened. The
+    cache is (graph cache, LSTM cache or None for a flatten).
+    """
+    pooled, spatial = spatial_encode_forward(frames, mask, params.graph[view])
+    steps = pooled[windows]
+    if not params.config.temporal:
+        return steps.reshape(len(windows), -1), (spatial, None)
+    vector, lstm = lstm_forward(steps, params.lstm[view])
+    return vector, (spatial, lstm)
+
+
+def encode_view_backward(
+    dv: np.ndarray, cache: tuple, params: ModelParams, view: str, frames: Segments
+) -> dict[str, np.ndarray]:
+    """The view's graph and LSTM gradients from `dv`, the gradient at its vectors, keyed as `named_arrays`.
+
+    `frames` groups the flat clip steps by the frame they read. Each frame's
+    pooled gradient is the sum over those steps, added in `Segments.sum`'s order.
+    """
+    spatial, lstm = cache
+    dsteps, lstm_grads = (dv, []) if lstm is None else lstm_backward(dv, lstm, params.lstm[view])
+    dsteps = dsteps.reshape(-1, params.config.pooled_dim)
+    dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
+    graph_grads = spatial_encode_backward(dpooled, spatial, params.graph[view])
+    grads = {}
+    for kind, layer_grads in (("graph", graph_grads), ("lstm", lstm_grads)):
+        for i, (dw, dbias) in enumerate(layer_grads):
+            grads[f"{kind}.{view}.{i}.weights"] = dw
+            grads[f"{kind}.{view}.{i}.bias"] = dbias
+    return grads
+
+
+def classify(v: np.ndarray, p: MlpParams) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(probs, logits, cache) of the MLP on `v`, the views' vectors concatenated in `views()` order."""
     h1 = v @ p.w1 + p.b1
     np.maximum(h1, 0.0, out=h1)
     h2 = h1 @ p.w2 + p.b2
     np.maximum(h2, 0.0, out=h2)
     logits = h2 @ p.w_out + p.b_out
-    return logits, {"v": v, "h1": h1, "h2": h2}
+    return softmax(logits), logits, (v, h1, h2)
 
 
-def _mlp_backward(dlogits: np.ndarray, cache: dict, p: MlpParams) -> tuple[np.ndarray, dict]:
-    h1, h2 = cache["h1"], cache["h2"]
-    g = {
-        "w_out": h2.T @ dlogits,
-        "b_out": dlogits.sum(axis=0),
-    }
+def classify_backward(dlogits: np.ndarray, cache: tuple, p: MlpParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(dv, the classifier's gradients keyed as `named_arrays`) from the logit gradients."""
+    v, h1, h2 = cache
+    grads = {"classifier.w_out": h2.T @ dlogits, "classifier.b_out": dlogits.sum(axis=0)}
     dh2 = dlogits @ p.w_out.T
     dz2 = dh2 * (h2 > 0.0).astype(h2.dtype)
-    g["w2"] = h1.T @ dz2
-    g["b2"] = dz2.sum(axis=0)
+    grads["classifier.w2"] = h1.T @ dz2
+    grads["classifier.b2"] = dz2.sum(axis=0)
     dh1 = dz2 @ p.w2.T
     dz1 = dh1 * (h1 > 0.0).astype(h1.dtype)
-    g["w1"] = cache["v"].T @ dz1
-    g["b1"] = dz1.sum(axis=0)
-    dv = dz1 @ p.w1.T
-    return dv, g
+    grads["classifier.w1"] = v.T @ dz1
+    grads["classifier.b1"] = dz1.sum(axis=0)
+    return dz1 @ p.w1.T, grads
 
 
 def model_forward(
@@ -464,7 +491,7 @@ def model_forward(
     params: ModelParams,
     windows: Optional[np.ndarray] = None,
     keep_cache: bool = True,
-) -> tuple[np.ndarray, np.ndarray, Optional[dict]]:
+) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
     """Batched forward to (probs, logits, cache), on a frame table or on expanded clips.
 
     With `windows` (B, T), `features` (U, N, 4) and `mask` (U, N) are a table of
@@ -492,57 +519,30 @@ def model_forward(
         raise ShapeError(f"windows {windows.dtype} {windows.shape} must be (B, T={cfg.T}) integers")
     elif windows.size and not 0 <= windows.min() <= windows.max() < len(features):
         raise ShapeError(f"windows hold frame indices outside [0, {len(features)})")
-    parts = []
-    view_caches = {}
+    vectors, view_caches = [], {}
     for view, block in cfg.views():
-        pooled, sc = spatial_encode_forward(features[:, block], mask[:, block], params.graph[view])
-        pooled = pooled[windows]
-        vc = {"spatial": sc}
-        if cfg.temporal:
-            final, vc["lstm"] = lstm_forward(pooled, params.lstm[view])
-            parts.append(final)
-        else:
-            parts.append(pooled.reshape(len(windows), -1))
-        if keep_cache:
-            view_caches[view] = vc
-        del pooled, sc, vc  # without keep_cache, freed before the next view runs
-    v = np.concatenate(parts, axis=1)
-    logits, mlp_cache = _mlp_forward(v, params.classifier)
-    probs = softmax(logits)
+        vector, view_caches[view] = encode_view(features[:, block], mask[:, block], windows, params, view)
+        vectors.append(vector)
+        if not keep_cache:
+            del view_caches[view]  # freed before the next view runs
+    probs, logits, classifier_cache = classify(np.concatenate(vectors, axis=1), params.classifier)
     if not keep_cache:
         return probs, logits, None
-    cache = {"views": view_caches, "mlp": mlp_cache, "windows": windows, "n_frames": len(features)}
-    return probs, logits, cache
+    return probs, logits, (view_caches, classifier_cache, windows, len(features))
 
 
-def model_backward(dlogits: np.ndarray, cache: dict, params: ModelParams) -> dict[str, np.ndarray]:
+def model_backward(dlogits: np.ndarray, cache: tuple, params: ModelParams) -> dict[str, np.ndarray]:
     """Reverse mode from logit gradients to every parameter tensor, keyed as `named_arrays`.
 
-    Each frame's pooled gradient is the sum over the clip steps that read it,
-    added in `Segments.sum`'s order. No gradient with respect to the input
-    frames is formed: nothing in training or the gradient check reads one.
+    No gradient with respect to the input frames is formed: nothing in
+    training or the gradient check reads one.
     """
-    cfg = params.config
-    dv, mlp_grads = _mlp_backward(dlogits, cache["mlp"], params.classifier)
-    grads = {f"classifier.{k}": v for k, v in mlp_grads.items()}
+    view_caches, classifier_cache, windows, n_frames = cache
+    dv, grads = classify_backward(dlogits, classifier_cache, params.classifier)
     # Each frame's steps, grouped once and shared by the views.
-    frames = Segments.from_groups(cache["windows"].ravel(), cache["n_frames"])
-    offset = 0
-    for view, _ in cfg.views():
-        dpart = dv[:, offset : offset + cfg.view_dim]
-        offset += cfg.view_dim
-        vc = cache["views"][view]
-        if cfg.temporal:
-            dsteps, lstm_grads = lstm_backward(dpart, vc["lstm"], params.lstm[view])
-        else:
-            dsteps, lstm_grads = dpart, []
-        dsteps = dsteps.reshape(-1, cfg.pooled_dim)
-        dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
-        graph_grads = spatial_encode_backward(dpooled, vc["spatial"], params.graph[view])
-        for kind, layer_grads in (("graph", graph_grads), ("lstm", lstm_grads)):
-            for i, (dw, dbias) in enumerate(layer_grads):
-                grads[f"{kind}.{view}.{i}.weights"] = dw
-                grads[f"{kind}.{view}.{i}.bias"] = dbias
+    frames = Segments.from_groups(windows.ravel(), n_frames)
+    for (view, view_cache), dpart in zip(view_caches.items(), np.split(dv, len(view_caches), axis=1)):
+        grads |= encode_view_backward(dpart, view_cache, params, view, frames)
     return grads
 
 
@@ -552,13 +552,12 @@ def model_backward(dlogits: np.ndarray, cache: dict, params: ModelParams) -> dic
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    payload = {name: arr for name, arr in params.named_arrays()}
     np.savez(
         path,
         schema=np.array(CHECKPOINT_SCHEMA),
         config=np.array(params.config.to_json()),
         seed=np.array(params.seed, dtype=np.int64),
-        **payload,
+        **params.arrays(),
     )
 
 

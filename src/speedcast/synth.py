@@ -64,19 +64,23 @@ FLIPPED = {
 }
 
 
+# `rng.integers(lo, hi + 1)` takes each pair's hi up to int64's maximum and no higher.
+_PAIR_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     sessions: int = field(default=30, metadata={"ge": 1})
     frames_per_session: int = field(default=140, metadata={"ge": 1})
     fps: float = field(default=3.0, metadata={"gt": 0})
     highway_fraction: float = field(default=0.5, metadata={"ge": 0, "le": 1})
-    segment_frames: tuple[int, int] = field(default=(4, 6), metadata={"ge": 3})
+    segment_frames: tuple[int, int] = field(default=(4, 6), metadata={"ge": 3, "le": _PAIR_MAX})
     reaction_delay: int = field(default=1, metadata={"ge": 1})
     initial_stop_frames: int = field(default=3, metadata={"ge": 0})
     turn_segment_prob: float = field(default=0.05, metadata={"ge": 0, "le": 1})
     pedestrian_rate: float = field(default=0.3, metadata={"ge": 0, "le": 1})
     light_prob: float = field(default=0.4, metadata={"ge": 0, "le": 1})
-    background_cars: tuple[int, int] = field(default=(2, 5), metadata={"ge": 0})
+    background_cars: tuple[int, int] = field(default=(2, 5), metadata={"ge": 0, "le": _PAIR_MAX})
     bbox_jitter_px: float = field(default=0.0, metadata={"ge": 0})
     confidence_jitter: float = field(default=0.0, metadata={"ge": 0})
     confound: bool = False

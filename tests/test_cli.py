@@ -129,6 +129,15 @@ class TestPrepareCommand:
         assert f"error: {name} must be a positive finite number, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["prepare", "pipeline"])
+    def test_fps_ratio_without_finite_stride_is_config_error(self, logs_dir, tmp_path, capsys, command):
+        """1e308 / 1e-308 is inf: no frame stride, so exit 2 before --out is made, `pipeline` before synth."""
+        out = tmp_path / "out"
+        args = [command, "--out", str(out), "--source-fps", "1e308", "--target-fps", "1e-308"]
+        assert main(args + (["--logs", str(logs_dir)] if command == "prepare" else [])) == 2
+        assert "error: source_fps 1e+308 / target_fps 1e-308 is not a finite frame stride" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_logs_dir_is_error(self, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc == 2
@@ -178,6 +187,9 @@ def test_ill_typed_config_field_is_config_error(tmp_path, capsys, command, paylo
         ("train", '{"beta1": 1.0}', "beta1 must be in [0, 1), got 1.0"),
         ("synth", '{"background_cars": [5, 2]}', "background_cars must satisfy lo <= hi, got (5, 2)"),
         ("synth", '{"highway_fraction": 2.0}', "highway_fraction must be in [0, 1], got 2.0"),
+        # A hi above int64's maximum is one the generator's `rng.integers(lo, hi + 1)` cannot draw to.
+        ("synth", '{"segment_frames": [3, 100000000000000000000]}', f"segment_frames must be in [3, {2**63 - 1}]"),
+        ("synth", '{"background_cars": [0, 100000000000000000000]}', f"background_cars must be in [0, {2**63 - 1}]"),
     ],
 )
 def test_out_of_range_config_field_is_config_error(tmp_path, capsys, command, payload, named):

@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 
 from speedcast import model as model_module
 from speedcast.errors import InvalidConfigError, InvalidRecordError, ShapeError
+from speedcast.graph import Segments
 from speedcast.model import (
     VARIANTS,
     LstmLayerParams,
     ModelConfig,
+    classify,
+    classify_backward,
+    encode_view,
+    encode_view_backward,
     init_params,
     load_checkpoint,
     lstm_backward,
@@ -408,6 +413,65 @@ class TestCacheFreeForward:
             finally:
                 tracemalloc.stop()
         assert peaks[False] <= peaks[True] / 2, peaks
+
+
+def stage_case(variant, K, dtype):
+    """Tiny parameters, a 4-clip batch of expanded clips, and a 6-frame table with overlapping and repeated windows."""
+    cfg = ModelConfig(
+        T=3, K=K, quota=TINY_QUOTA, graph_widths=(4, 8), lstm_hidden=8,
+        mlp_widths=(8, 8), variant=variant,
+    )
+    params = init_params(cfg, seed=7).clone(dtype)
+    features, mask, _ = random_batch(cfg, batch=4, seed=7)
+    mask[0, 1, :] = False  # one frame with no real node in any view
+    features = features.astype(dtype)
+    frames, frame_mask = features[:2].reshape(6, -1, 4), mask[:2].reshape(6, -1)
+    windows = np.array([[0, 1, 2], [1, 2, 3], [3, 4, 5], [0, 1, 2]])
+    return params, (features, mask), (frames, frame_mask, windows)
+
+
+class TestStages:
+    """`model_forward` and `model_backward` are `encode_view` per view, then `classify`, bit for bit."""
+
+    @pytest.mark.parametrize("table", [False, True], ids=["expanded", "frame_table"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stages_compose_to_the_model(self, variant, K, dtype, table):
+        params, clips, frame_table = stage_case(variant, K, dtype)
+        args = frame_table if table else clips
+        probs, logits, cache = model_forward(*args[:2], params, *args[2:])
+        grads = model_backward(probs, cache, params)
+        if table:
+            frames, frame_mask, windows = frame_table
+        else:
+            frames, frame_mask = clips[0].reshape(-1, TINY_QUOTA.total, 4), clips[1].reshape(-1, TINY_QUOTA.total)
+            windows = np.arange(len(frames)).reshape(len(clips[0]), -1)
+        views = params.config.views()
+        vectors, caches = zip(
+            *(encode_view(frames[:, block], frame_mask[:, block], windows, params, view) for view, block in views)
+        )
+        stage_probs, stage_logits, classifier_cache = classify(np.concatenate(vectors, axis=1), params.classifier)
+        assert stage_probs.tobytes() == probs.tobytes() and stage_logits.tobytes() == logits.tobytes()
+        dv, stage_grads = classify_backward(probs, classifier_cache, params.classifier)
+        groups = Segments.from_groups(windows.ravel(), len(frames))
+        for (view, _), dpart, view_cache in zip(views, np.split(dv, len(views), axis=1), caches):
+            stage_grads |= encode_view_backward(dpart, view_cache, params, view, groups)
+        assert set(stage_grads) == set(grads) == set(params.arrays())
+        for name, g in grads.items():
+            assert stage_grads[name].dtype == g.dtype and stage_grads[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("variant", ["full", "base_multi"])
+    def test_a_view_reads_only_its_own_slots(self, variant):
+        params, _, (frames, frame_mask, windows) = stage_case(variant, 1, np.float64)
+        views = params.config.views()
+        before = [encode_view(frames[:, b], frame_mask[:, b], windows, params, v)[0] for v, b in views]
+        for i, (_, block) in enumerate(views):
+            perturbed = frames.copy()
+            perturbed[:, block] += np.random.default_rng(i).normal(size=perturbed[:, block].shape)
+            after = [encode_view(perturbed[:, b], frame_mask[:, b], windows, params, v)[0] for v, b in views]
+            for j, (vector, unchanged) in enumerate(zip(after, before)):
+                assert (vector.tobytes() == unchanged.tobytes()) == (j != i), (views[i][0], views[j][0])
 
 
 def float_dtypes(obj, path="cache"):

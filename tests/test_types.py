@@ -138,7 +138,11 @@ def test_every_declared_bound_is_enforced(cls, name, outside, edge):
         (TrainConfig, {"epsilon": 0.0}, "TrainConfig field epsilon must be > 0, got 0.0"),
         (TrainConfig, {"beta2": 1}, "TrainConfig field beta2 must be in [0, 1), got 1"),
         (SynthConfig, {"light_prob": 1.5}, "SynthConfig field light_prob must be in [0, 1], got 1.5"),
-        (SynthConfig, {"background_cars": (2, -1)}, "SynthConfig field background_cars must be >= 0, got (2, -1)"),
+        (
+            SynthConfig,
+            {"background_cars": (2, -1)},
+            f"SynthConfig field background_cars must be in [0, {2**63 - 1}], got (2, -1)",
+        ),
         (
             ModelConfig,
             {"graph_widths": ()},
