@@ -83,7 +83,7 @@ def _parse_quota(text: str) -> CategoryQuota:
         counts = [int(part) for part in text.split(",")]
         if len(counts) == 3:
             return CategoryQuota(*counts)
-    except (ValueError, InvalidRecordError):
+    except (ValueError, InvalidConfigError):
         pass
     raise InvalidConfigError(f"--quota expects three positive counts car,ped,traffic, got {text!r}")
 
@@ -91,14 +91,14 @@ def _parse_quota(text: str) -> CategoryQuota:
 def _read_config(path: str, kind: str, cls: type) -> dict:
     """The fields that JSON config file `path` sets, as keyword arguments of dataclass `cls`.
 
-    A file that cannot be read, is not JSON, is not a JSON object or has a key
-    that is not a field of `cls` is a config error naming `path`. JSON lists
-    become tuples.
+    A file that cannot be read as UTF-8 text, is not JSON, is not a JSON object or
+    has a key that is not a field of `cls` is a config error naming `path`. JSON
+    lists become tuples.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot read {kind} config {path}: {exc.strerror or exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read {kind} config {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -449,9 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpeedcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy with CLI exit-code mapping."""
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+from typing import Iterator, Optional
 
 
 class SpeedcastError(Exception):
@@ -14,6 +15,16 @@ class InvalidConfigError(SpeedcastError):
     """A configuration value is out of range or inconsistent."""
 
     exit_code = 2
+
+
+@contextlib.contextmanager
+def allocating(what: str, array: str) -> Iterator[None]:
+    """Turn numpy refusing to shape an array made in the block (ValueError), or memory refusing
+    to hold it (MemoryError), into InvalidConfigError: "<what> is too large to allocate: <array> (<reason>)"."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise InvalidConfigError(f"{what} is too large to allocate: {array} ({exc})") from exc
 
 
 class DataAlignmentError(SpeedcastError):

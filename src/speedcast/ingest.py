@@ -18,9 +18,10 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataAlignmentError, InvalidConfigError, InvalidRecordError
+from .errors import DataAlignmentError, InvalidConfigError, InvalidRecordError, allocating
 from .types import (
     ACTION_NAMES,
+    INT64_MAX,
     NUM_ACTIONS,
     Action,
     CategoryQuota,
@@ -175,10 +176,9 @@ def assemble_clips(
     a sensor row for every frame: the first frame without one raises
     DataAlignmentError. A shorter session yields no clip and is not checked.
     """
-    if T < 1:
-        raise InvalidConfigError(f"history length T must be >= 1, got {T}")
-    if FT < 1:
-        raise InvalidConfigError(f"future offset FT must be >= 1, got {FT}")
+    for name, value in (("history length T", T), ("future offset FT", FT)):
+        if not 1 <= value <= INT64_MAX:  # the archive stores both in int64 `dims`
+            raise InvalidConfigError(f"{name} must be in [1, {INT64_MAX}], got {value}")
     sensors_by_frame = {s.frame_index: s for s in sensors}
     rows = []
     if len(frames) >= T + FT:  # the session holds at least one anchor position
@@ -196,14 +196,17 @@ def assemble_clips(
         dtype=bool,
     )
     turns_before = np.concatenate([[0], np.cumsum(turning, dtype=np.int64)])
-    start = np.arange(len(rows) - T - FT + 1)  # first history position of each anchor
+    start = np.arange(max(0, len(rows) - T - FT + 1))  # first history position of each anchor
     keep = (code[start + T - 1 + FT] >= 0) & moving[start] & (turns_before[start + T] == turns_before[start])
     positions = start[keep] + T - 1
-    windows = positions[:, None] + np.arange(1 - T, 1)
+    # Built from the kept anchors only, so a T longer than the session allocates nothing.
+    with allocating(f"history length T={T}", f"a (0, {T}) window array"):
+        windows = positions[:, None] + np.arange(1 - T, 1) if len(positions) else np.zeros((0, T), dtype=np.int64)
     used = np.zeros(len(frames), dtype=bool)
     used[windows] = True
-    frame_feats = np.zeros((used.sum(), quota.total, 4), dtype=np.float64)
-    frame_mask = np.zeros((len(frame_feats), quota.total), dtype=bool)
+    shape = (int(used.sum()), quota.total, 4)
+    with allocating(f"quota {quota.n_car},{quota.n_pedestrian},{quota.n_traffic}", f"a {shape} frame table"):
+        frame_feats, frame_mask = np.zeros(shape, dtype=np.float64), np.zeros(shape[:2], dtype=bool)
     for row, pos in enumerate(np.flatnonzero(used)):
         frame_feats[row], frame_mask[row] = select_top_n(frames[pos], quota)
     row_of = np.cumsum(used, dtype=np.int64) - 1  # frame table row of each used position
@@ -347,7 +350,10 @@ class ClipDataset:
         T, FT = (int(x) for x in dims)
         if T < 1 or FT < 1:
             raise InvalidRecordError(f"clipset dims T={T} FT={FT} must be positive")
-        quota = CategoryQuota(*(int(x) for x in quota))
+        try:
+            quota = CategoryQuota(*(int(x) for x in quota))
+        except InvalidConfigError as exc:
+            raise InvalidRecordError(f"clipset quota: {exc}") from exc
         if schema == _CLIPSET_SCHEMA_V1:
             arrays.update(_frame_table_v1(arrays.pop("features"), arrays.pop("mask"), T, quota.total))
         ds = cls(T=T, FT=FT, quota=quota, **arrays)
@@ -355,8 +361,8 @@ class ClipDataset:
         return ds
 
     def _validate(self) -> None:
-        m = self.windows.shape[0] if self.windows.ndim == 2 else -1
-        f = self.frames.shape[0] if self.frames.ndim == 3 else -1
+        m = self.windows.shape[0] if self.windows.ndim == 2 else "M"  # unknown sizes go by name
+        f = self.frames.shape[0] if self.frames.ndim == 3 else "F"
         n = self.quota.total
         expected = {  # name: (shape, dtype kinds, where "f" is float64 only)
             "frames": ((f, n, 4), "f"),
@@ -373,6 +379,7 @@ class ClipDataset:
             arr = getattr(self, key)
             if arr.shape != shape or arr.dtype.kind not in kinds or (kinds == "f" and arr.dtype != np.float64):
                 kind = {"f": "float64", "b": "bools", "iu": "integers", "U": "strings"}[kinds]
+                shape = str(shape).replace("'", "")  # a size known by name only, unquoted: (M, 4)
                 raise InvalidRecordError(f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {kind} {shape}")
         if self.windows.size and not 0 <= self.windows.min() <= self.windows.max() < f:
             raise InvalidRecordError(f"clipset windows hold frame indices outside [0, {f})")
@@ -397,9 +404,10 @@ class ClipDataset:
 
 def _frame_table_v1(features: np.ndarray, mask: np.ndarray, T: int, n: int) -> dict[str, np.ndarray]:
     """`frames`, `frame_mask` and `windows` for the per-clip arrays of a schema /1 archive."""
-    m = features.shape[0] if features.ndim == 4 else -1
+    m = features.shape[0] if features.ndim == 4 else "M"  # unknown sizes go by name
     for key, arr, shape in (("features", features, (m, T, n, 4)), ("mask", mask, (m, T, n))):
         if arr.shape != shape:
+            shape = str(shape).replace("'", "")
             raise InvalidRecordError(f"clipset {key}: stored {arr.dtype} {arr.shape}, expected {shape}")
     return {
         "frames": features.reshape(m * T, n, 4),
@@ -449,11 +457,12 @@ def build_dataset(
     ds.test_idx = test
     if len(ds.train_idx):
         # The training clips' valid slots in the order of `features[rows][mask[rows]]`,
-        # so the statistics keep their bits. Gathering only the valid slots would
-        # skip the (rows, T, N, 4) temporary `frames[steps]`, but freeing it raises
-        # glibc's dynamic mmap threshold; without that, each `base` K=5 training
-        # batch in the same process maps its 8-16 MB temporaries afresh and
-        # page-faults on them (epochs 35% slower).
+        # so the statistics keep their bits. Gathering only the valid slots gives the
+        # same bits without the (rows, T, N, 4) temporary `frames[steps]`, but freeing
+        # that temporary raises glibc's dynamic mmap threshold. Without it, `full`
+        # training in the same process maps its batch temporaries afresh and
+        # page-faults on them: 6-22k minor faults per warm epoch against at most 760,
+        # under each of 6 hash seeds. `base` K=5 did so under 2 of the 6.
         steps = windows[np.unique(ds.train_idx)]
         valid = ds.frames[steps][ds.frame_mask[steps]]
         if valid.size == 0:

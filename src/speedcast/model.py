@@ -17,10 +17,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidRecordError, ShapeError
+from .errors import InvalidConfigError, InvalidRecordError, ShapeError, allocating
 from .graph import ChebLayerParams, Segments, spatial_encode_backward, spatial_encode_forward
 from .ingest import read_archive
-from .types import NUM_ACTIONS, CategoryQuota, check_field_types
+from .types import INT64_MAX, NUM_ACTIONS, CategoryQuota, check_field_types
 
 VARIANTS = ("base", "base_single", "base_multi", "base_t", "full")
 
@@ -44,8 +44,8 @@ class ModelConfig:
     The graph layers and the MLP's hidden layers are always rectified (ReLU).
     """
 
-    T: int = field(default=10, metadata={"ge": 1})
-    FT: int = field(default=1, metadata={"ge": 1})
+    T: int = field(default=10, metadata={"ge": 1, "le": INT64_MAX})
+    FT: int = field(default=1, metadata={"ge": 1, "le": INT64_MAX})
     K: int = field(default=1, metadata={"ge": 0})
     quota: CategoryQuota = field(default_factory=CategoryQuota)
     graph_widths: tuple[int, ...] = field(default=(16, 32), metadata={"ge": 1, "min_len": 1})
@@ -209,12 +209,8 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     rng = np.random.default_rng(seed)
 
     def weight(shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-        try:
+        with allocating(f"variant {config.variant} with K={config.K}", f"a {shape} weight"):
             return _glorot(rng, shape, fan_in, fan_out)
-        except (ValueError, MemoryError) as exc:
-            raise InvalidConfigError(
-                f"variant {config.variant} with K={config.K} is too large to allocate: a {shape} weight ({exc})"
-            ) from exc
 
     return _build_params(config, seed, weight)
 

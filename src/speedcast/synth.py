@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, allocating
 from .ingest import ACCEL_THRESHOLD_PCT, BRAKE_THRESHOLD_KPA, frame_record, sensor_record
 from .seeding import derive_seed
-from .types import Action, DetectedObject, FrameDetections, SensorSample, check_field_types
+from .types import INT64_MAX, Action, DetectedObject, FrameDetections, SensorSample, check_field_types
 
 IMAGE_W = 1280
 IMAGE_H = 720
@@ -64,24 +64,20 @@ FLIPPED = {
 }
 
 
-# `rng.integers(lo, hi + 1)` takes each pair's hi up to int64's maximum and no higher.
-_PAIR_MAX = int(np.iinfo(np.int64).max)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     sessions: int = field(default=30, metadata={"ge": 1})
-    frames_per_session: int = field(default=140, metadata={"ge": 1})
+    frames_per_session: int = field(default=140, metadata={"ge": 1, "le": INT64_MAX})
     fps: float = field(default=3.0, metadata={"gt": 0})
     highway_fraction: float = field(default=0.5, metadata={"ge": 0, "le": 1})
-    segment_frames: tuple[int, int] = field(default=(4, 6), metadata={"ge": 3, "le": _PAIR_MAX})
+    segment_frames: tuple[int, int] = field(default=(4, 6), metadata={"ge": 3, "le": INT64_MAX})
     reaction_delay: int = field(default=1, metadata={"ge": 1})
     initial_stop_frames: int = field(default=3, metadata={"ge": 0})
     turn_segment_prob: float = field(default=0.05, metadata={"ge": 0, "le": 1})
     pedestrian_rate: float = field(default=0.3, metadata={"ge": 0, "le": 1})
     light_prob: float = field(default=0.4, metadata={"ge": 0, "le": 1})
-    background_cars: tuple[int, int] = field(default=(2, 5), metadata={"ge": 0, "le": _PAIR_MAX})
-    bbox_jitter_px: float = field(default=0.0, metadata={"ge": 0})
+    background_cars: tuple[int, int] = field(default=(2, 5), metadata={"ge": 0, "le": INT64_MAX})
+    bbox_jitter_px: float = field(default=0.0, metadata={"ge": 0, "le": IMAGE_W})  # boxes are clipped to the image
     confidence_jitter: float = field(default=0.0, metadata={"ge": 0})
     confound: bool = False
     flag_prob: float = field(default=0.5, metadata={"ge": 0, "le": 1})
@@ -187,8 +183,8 @@ def _generate_session(
     lo, hi = config.segment_frames
 
     # Segment plan: per-frame closing speed, cue flag, turn flag, transition marker.
-    closing = np.zeros(n)
-    distance = np.zeros(n)
+    with allocating(f"SynthConfig frames_per_session={n}", f"a ({n},) array"):
+        closing, distance = np.zeros(n), np.zeros(n)
     flag = np.zeros(n, dtype=bool)
     turning = np.zeros(n, dtype=bool)
     transition = np.zeros(n, dtype=bool)

@@ -20,6 +20,9 @@ CATEGORY_GROUPS: dict[str, tuple[str, ...]] = {
 
 _SUPER_OF = {raw: sup for sup, raws in CATEGORY_GROUPS.items() for raw in raws}
 
+# The largest integer that archives store (`dims`, `quota`) and that numpy's integer draws take.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def super_category(category: str) -> str:
     """Map a raw detector category to its graph view (car / pedestrian / traffic)."""
@@ -133,14 +136,14 @@ class SensorSample:
 class CategoryQuota:
     """Per-view object slot counts; N = n_car + n_pedestrian + n_traffic."""
 
-    n_car: int = 20
-    n_pedestrian: int = 10
-    n_traffic: int = 10
+    n_car: int = field(default=20, metadata={"ge": 1})
+    n_pedestrian: int = field(default=10, metadata={"ge": 1})
+    n_traffic: int = field(default=10, metadata={"ge": 1})
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if min(self.n_car, self.n_pedestrian, self.n_traffic) <= 0:
-            raise InvalidRecordError(f"quota counts must be positive: {self}")
+        if self.total > INT64_MAX:
+            raise InvalidConfigError(f"CategoryQuota total slot count must be <= {INT64_MAX}, got {self.total}")
 
     @property
     def total(self) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +95,27 @@ class TestPrepareCommand:
             err = capsys.readouterr().err
             assert f"--quota expects three positive counts car,ped,traffic, got {quota!r}" in err
 
+    @pytest.mark.parametrize("value", ["0", "100000000000000000000"], ids=["zero", "above-int64"])
     @pytest.mark.parametrize(
-        "flag,named",
-        [("--T=0", "history length T must be >= 1"), ("--FT=0", "future offset FT must be >= 1")],
-        ids=["T", "FT"],
+        "flag,named", [("--T", "history length T"), ("--FT", "future offset FT")], ids=["T", "FT"]
     )
-    def test_clip_setting_error_leaves_no_out_directory(self, logs_dir, tmp_path, capsys, flag, named):
+    def test_clip_setting_error_leaves_no_out_directory(self, logs_dir, tmp_path, capsys, flag, named, value):
         out = tmp_path / "out"
-        assert main(["prepare", "--logs", str(logs_dir), "--out", str(out), flag]) == 2
-        assert f"error: {named}, got 0" in capsys.readouterr().err
+        assert main(["prepare", "--logs", str(logs_dir), "--out", str(out), f"{flag}={value}"]) == 2
+        assert f"error: {named} must be in [1, {2**63 - 1}], got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_history_longer_than_every_session_gives_no_clips(self, logs_dir, tmp_path, capsys):
+        """Windows are built for the kept anchors only, so a T of 4e9 allocates no array of T positions."""
+        tracemalloc.start()
+        try:
+            assert main(["prepare", "--logs", str(logs_dir), "--out", str(tmp_path / "out"), "--T", "4000000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "warning: no clips assembled from the given logs\n"
+        assert peak < 50 * 2**20
+        assert ClipDataset.load(tmp_path / "out" / "clips.npz").windows.shape == (0, 4000000000)
 
     def test_session_without_sensor_rows_is_data_error(self, unpaired_logs_dir, tmp_path, capsys):
         rc = main(["prepare", "--logs", str(unpaired_logs_dir), "--out", str(tmp_path / "out")])
@@ -213,11 +225,16 @@ def test_out_of_range_config_field_is_config_error(tmp_path, capsys, command, pa
         (["pipeline", "--synth-config", "{config}"], "synth config"),
     ],
 )
-def test_config_file_not_json_is_config_error(tmp_path, capsys, args, kind):
+@pytest.mark.parametrize(
+    "content, named",
+    [(b'{"seed": 1,\n', "{kind} {config} is not JSON: "), (b'{"seed": 1}\xff', "cannot read {kind} {config}: ")],
+    ids=["truncated", "not-utf8"],
+)
+def test_config_file_not_json_is_config_error(tmp_path, capsys, args, kind, content, named):
     config = tmp_path / "config.json"
-    config.write_text('{"seed": 1,\n')
+    config.write_bytes(content)
     assert main([arg.format(config=config) for arg in args] + ["--out", str(tmp_path / "out")]) == 2
-    assert f"error: {kind} {config} is not JSON: " in capsys.readouterr().err
+    assert f"error: {named.format(kind=kind, config=config)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -662,12 +679,14 @@ class TestAblateCommand:
         assert capsys.readouterr().err == f"error: train config {config} sets seed; every seed derives from --seed\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0"])
+    @pytest.mark.parametrize("flag", ["--K=-1", "--T=0", "--FT=0", f"--T={10**20}", f"--FT={10**20}"])
     def test_sweep_value_outside_model_range_fails_before_out(self, logs_dir, tmp_path, capsys, flag):
         """A sweep value ModelConfig rejects exits 2 and writes nothing, not a table of failed cells."""
         out = tmp_path / "out"
         assert main(["ablate", "--logs", str(logs_dir), "--out", str(out), "--variant", "base", flag]) == 2
-        assert capsys.readouterr().err.startswith(f"error: ModelConfig field {flag[2:].split('=')[0]} must be >= ")
+        name, value = flag[2:].split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ModelConfig field {name} must be ") and err.endswith(f", got {value}\n")
         assert not out.exists()
 
     def test_cell_too_large_to_allocate_fails_as_a_row(self, logs_dir, tmp_path, capsys):

@@ -424,11 +424,21 @@ class TestArchiveRoundTrip:
                 lambda d: d.update({"norm_std": d["norm_std"].astype(np.float32)}),
                 r"clipset norm_std: stored float32 .* expected float64",
             ),
+            # A leading size set by an array of the wrong rank is shown by name.
+            (
+                lambda d: d.update({"frames": d["frames"].reshape(len(d["frames"]), -1)}),
+                r"clipset frames: stored float64 \(\d+, 24\), expected float64 \(F, 6, 4\)$",
+            ),
+            (lambda d: d.update({"windows": d["windows"].ravel()}), r"expected integers \(M, 5\)$"),
+            # A stored quota CategoryQuota rejects is a data error here, not a config error.
+            (lambda d: d.update({"quota": np.array([0, 1, 1])}), "clipset quota: CategoryQuota field n_car must be"),
+            (lambda d: d.update({"quota": np.array([2**63 - 1, 1, 1])}), "clipset quota: CategoryQuota total"),
         ],
         ids=[
             "missing-array", "index-range", "mask-shape", "nan-feature", "window-past-frames",
             "window-negative", "windows-shape", "windows-float", "label-range", "norm-std", "dims", "object-labels",
-            "frames-float32", "norm-mean-float16", "norm-std-float32",
+            "frames-float32", "norm-mean-float16", "norm-std-float32", "frames-rank", "windows-rank",
+            "quota-zero", "quota-total",
         ],
     )
     def test_foreign_content_rejected(self, small_dataset, tmp_path, edit, named):

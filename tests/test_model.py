@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speedcast import model as model_module
@@ -341,6 +341,25 @@ def frame_table_batches(draw):
     return params, frames, frame_mask, windows
 
 
+def cancelling_case(seed: int, mlp_widths: tuple[int, int]):
+    """A `base_single` model at K=3 on three copies of the clip [3, 4, 5] where only frame 4 has
+    real nodes. Its gradients are sums that cancel to far below the terms they add; at these
+    seeds the two paths' different summation order shows in the last bits."""
+    cfg = ModelConfig(
+        T=3, K=3, quota=CategoryQuota(1, 1, 1), graph_widths=(1, 2), lstm_hidden=1,
+        mlp_widths=mlp_widths, variant="base_single",
+    )
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed=0)
+    for _, arr in params.named_arrays():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    frames = rng.normal(size=(6, 3, 4))
+    frame_mask = np.zeros((6, 3), dtype=bool)
+    frame_mask[4] = rng.uniform(size=3) < 0.6
+    frame_mask[4, 0] = True
+    return params, frames, frame_mask, np.array([[3, 4, 5]] * 3)
+
+
 class TestFrameTable:
     """A frame table with windows computes what the expanded clips `frames[windows]` compute."""
 
@@ -363,17 +382,30 @@ class TestFrameTable:
 
     @settings(max_examples=40, deadline=None)
     @given(frame_table_batches())
+    @example(cancelling_case(2340, (2, 2)))  # graph.all.0.bias: 2.7e-5 next to weights of 0.70
+    @example(cancelling_case(1186, (3, 3)))  # every gradient below 2e-4
     def test_gradients_match_expanded_clips(self, case):
         """Each frame's pooled gradient is the sum over the steps that read it, so the parameter
-        gradients equal the expanded clips' to rounding."""
+        gradients equal the expanded clips' to rounding.
+
+        Rounding scales with the terms a gradient sums, not with the sum, which can cancel far
+        below them. So the bound is 1e-12 times the largest gradient of the same view's tensors
+        (the classifier's for its own), and at least 1e-12: each term is a product of
+        probabilities, weights and features of order 1. Over 3000 drawn examples the largest
+        difference was 96 eps, under 0.1% of this bound.
+        """
         params, frames, frame_mask, windows = case
         probs, _, cache = model_forward(frames, frame_mask, params, windows)
         grads = model_backward(probs, cache, params)
         probs, _, cache = model_forward(frames[windows], frame_mask[windows], params)
         expected = model_backward(probs, cache, params)
         assert set(grads) == set(expected) == set(params.arrays())
+        view = {name: name.split(".")[1] if name.count(".") > 1 else "classifier" for name in expected}
+        scale = dict.fromkeys(view.values(), 1.0)
         for name, g in expected.items():
-            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+            scale[view[name]] = max(scale[view[name]], np.abs(g).max())
+        for name, g in expected.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * scale[view[name]], name
 
 
 class TestCacheFreeForward:

@@ -92,6 +92,13 @@ class TestConfig:
     def test_range_bounds_accepted(self):
         SynthConfig(background_cars=(0, 0), initial_stop_frames=0, highway_fraction=0, flag_prob=1.0)
 
+    def test_session_too_long_to_allocate_is_config_error(self):
+        """A length within the declared range whose per-frame arrays numpy cannot shape fails
+        before the segment plan is drawn. (One that numpy shapes but memory cannot hold fails
+        the same way only where the kernel refuses the allocation up front.)"""
+        with pytest.raises(InvalidConfigError, match=f"frames_per_session={2**62} is too large to allocate"):
+            generate(SynthConfig(sessions=1, frames_per_session=2**62))
+
 
 class TestOracleRule:
     def test_closing_speed_bands(self):

@@ -54,9 +54,11 @@ def test_quota_slices_partition_the_block():
     assert slices["traffic"] == slice(8, 10)
 
 
-def test_quota_rejects_non_positive_counts():
-    with pytest.raises(InvalidRecordError):
-        CategoryQuota(0, 1, 1)
+def test_quota_total_must_fit_int64():
+    """Each count is >= 1 by its declared bound; their sum must be an int64, as the archive stores it."""
+    CategoryQuota(2**63 - 3, 1, 1)
+    with pytest.raises(InvalidConfigError, match=f"total slot count must be <= {2**63 - 1}, got {2**63}"):
+        CategoryQuota(2**63 - 2, 1, 1)
 
 
 def _ill_typed_fields():
@@ -87,7 +89,7 @@ def test_numpy_scalars_are_stored_as_python_numbers():
     assert SynthConfig(segment_frames=(np.int32(5), np.int64(9))).segment_frames == (5, 9)
 
 
-RANGED_CONFIGS = (ModelConfig, SynthConfig, TrainConfig)
+RANGED_CONFIGS = (CategoryQuota, ModelConfig, SynthConfig, TrainConfig)
 BOUND_KEYS = {"ge", "gt", "le", "lt"}
 
 
