@@ -129,8 +129,8 @@ def _train_config(path: str | None, args: argparse.Namespace) -> TrainConfig:
 
 
 def run_synth(config: SynthConfig, out: Path) -> None:
+    result = generate(config)  # a config error leaves no --out
     _make_out_dir(out)
-    result = generate(config)
     with _writing(out):
         det_path, sen_path = write_logs(result, out)
     _write_manifest(

@@ -424,15 +424,35 @@ def encode_view(
     """One view's clip vectors (B, d) from its slots of a frame table read through `windows`, as in `model_forward`.
 
     The graph encoder runs once per frame, and the pooled rows gathered into the
-    clips' steps go through the view's LSTM or, without one, are flattened. The
-    cache is (graph cache, LSTM cache or None for a flatten).
+    clips' steps go through the view's LSTM or, without one, are flattened. A
+    frame with no real node in the view pools to the zero vector, so every clip
+    whose steps all read such frames (a blank clip) has the same all-zero
+    sequence. When two or more clips of a batch are blank, the LSTM runs on the
+    other clips and the first blank one only, and every blank clip takes that
+    clip's vector. The cache is (graph cache, LSTM cache or None for a flatten,
+    blank clips or None): the blank clips are their indices in increasing order,
+    None when the LSTM saw every clip.
     """
     pooled, spatial = spatial_encode_forward(frames, mask, params.graph[view])
-    steps = pooled[windows]
     if not params.config.temporal:
-        return steps.reshape(len(windows), -1), (spatial, None)
-    vector, lstm = lstm_forward(steps, params.lstm[view])
-    return vector, (spatial, lstm)
+        return pooled[windows].reshape(len(windows), -1), (spatial, None, None)
+    blank = _blank_clips(mask, windows) if len(windows) > 1 else None
+    if blank is None:
+        vector, lstm = lstm_forward(pooled[windows], params.lstm[view])
+        return vector, (spatial, lstm, None)
+    # Every clip before blank[0] runs, so blank[0] is also its row of the LSTM batch.
+    run = np.ones(len(windows), dtype=bool)
+    run[blank[1:]] = False
+    vector, lstm = lstm_forward(pooled[windows[run]], params.lstm[view])
+    row = np.cumsum(run) - 1
+    row[blank] = blank[0]
+    return vector[row], (spatial, lstm, blank)
+
+
+def _blank_clips(mask: np.ndarray, windows: np.ndarray) -> Optional[np.ndarray]:
+    """Indices of the clips each step of which reads a frame with no real node in `mask`, or None if fewer than two."""
+    blank = np.flatnonzero((~mask.any(axis=1))[windows].all(axis=1))
+    return blank if len(blank) > 1 else None
 
 
 def encode_view_backward(
@@ -442,9 +462,26 @@ def encode_view_backward(
 
     `frames` groups the flat clip steps by the frame they read. Each frame's
     pooled gradient is the sum over those steps, added in `Segments.sum`'s order.
+    With blank clips in the cache, BPTT runs once on the clips the forward ran,
+    the first blank clip's final gradient being the sum of every blank clip's
+    `dv`: BPTT is linear in it along their shared forward path. The steps of a
+    blank clip read only frames with no real node, whose pooled gradient
+    `spatial_encode_backward` drops, so their gradient is written as zeros.
     """
-    spatial, lstm = cache
-    dsteps, lstm_grads = (dv, []) if lstm is None else lstm_backward(dv, lstm, params.lstm[view])
+    spatial, lstm, blank = cache
+    if lstm is None:
+        dsteps, lstm_grads = dv, []
+    elif blank is None:
+        dsteps, lstm_grads = lstm_backward(dv, lstm, params.lstm[view])
+    else:
+        run = np.ones(len(dv), dtype=bool)
+        run[blank[1:]] = False
+        d_final = dv[run]
+        d_final[blank[0]] = dv[blank].sum(axis=0)  # its row, as in the forward
+        dseq, lstm_grads = lstm_backward(d_final, lstm, params.lstm[view])
+        dsteps = np.zeros((len(dv),) + dseq.shape[1:], dtype=dseq.dtype)
+        dsteps[run] = dseq
+        dsteps[blank[0]] = 0.0
     dsteps = dsteps.reshape(-1, params.config.pooled_dim)
     dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
     graph_grads = spatial_encode_backward(dpooled, spatial, params.graph[view])

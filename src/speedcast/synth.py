@@ -19,6 +19,7 @@ reference), and boxes, confidences and pedals are computed as arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -302,7 +303,17 @@ def _generate_session(
 
 
 def generate(config: SynthConfig) -> SynthResult:
-    """Produce per-session detection and sensor streams plus the true action at each frame."""
+    """Produce per-session detection and sensor streams plus the true action at each frame.
+
+    An `fps` so small that the last frame's timestamp is not finite raises
+    InvalidConfigError naming it: `ingest` rejects such a log. `SynthConfig`
+    takes every fps above 0, whatever the session length, so the check is here.
+    """
+    if not math.isfinite((config.frames_per_session - 1) / config.fps):
+        raise InvalidConfigError(
+            f"SynthConfig field fps {config.fps!r} is too small: frame {config.frames_per_session - 1} "
+            "would have a non-finite timestamp"
+        )
     sessions: dict[str, tuple[list[FrameDetections], list[SensorSample]]] = {}
     actions: dict[tuple[str, int], Optional[Action]] = {}
     n_highway = round(config.sessions * config.highway_fraction)

@@ -70,6 +70,15 @@ class TestSynthCommand:
         assert f"error: synth config {cfg} is not a JSON object: {payload!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["synth --config", "pipeline --synth-config"])
+    def test_fps_too_small_for_finite_timestamps_is_config_error(self, tmp_path, capsys, flag):
+        """Frame 2 of a session at 1e-308 fps would be stamped inf, which `prepare` rejects."""
+        cfg = tmp_path / "synth.json"
+        cfg.write_text('{"fps": 1e-308}')
+        assert main([*flag.split(), str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "error: SynthConfig field fps 1e-308 is too small: frame 139" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPrepareCommand:
     def test_builds_archive(self, logs_dir, tmp_path):

@@ -31,6 +31,7 @@ from speedcast.model import (
     save_checkpoint,
     softmax,
 )
+from speedcast.train import gradient_check
 from speedcast.types import CategoryQuota
 
 from conftest import TINY_QUOTA, central_difference_errors, random_batch
@@ -406,6 +407,129 @@ class TestFrameTable:
             scale[view[name]] = max(scale[view[name]], np.abs(g).max())
         for name, g in expected.items():
             assert np.abs(grads[name] - g).max() <= 1e-12 * scale[view[name]], name
+
+
+def blank_view_case(variant, K, n_blank, seed=0):
+    """Parameters off the init, a 16-frame table and 6 windows, the last repeating the first.
+
+    The first `n_blank` of the five distinct clips read only frames with no real
+    node in one view (the car view for `base_t`, the pedestrian view for `full`),
+    and the last `n_blank` in the traffic view of `full`. Every other clip has a
+    real node in each view; the 16th frame is read by no clip. Returns the case
+    and each view's blank clips.
+    """
+    cfg = ModelConfig(
+        T=3, K=K, quota=TINY_QUOTA, graph_widths=(4, 8), lstm_hidden=8,
+        mlp_widths=(8, 8), variant=variant,
+    )
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed=0)
+    for _, arr in params.named_arrays():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    frames = rng.normal(size=(16, TINY_QUOTA.total, 4))  # padded slots keep noise
+    frame_mask = rng.uniform(size=frames.shape[:2]) < 0.6
+    windows = rng.permutation(15).reshape(5, 3)
+    if variant == "full":
+        chosen = {"pedestrian": np.arange(n_blank), "traffic": np.arange(5 - n_blank, 5)}
+    else:
+        chosen = {"car": np.arange(n_blank)}
+    for view, block in cfg.views():
+        clips = chosen.get(view, np.array([], dtype=int))
+        others = np.setdiff1d(np.arange(5), clips)
+        frame_mask[windows[others, 0], block.start] = True
+        frame_mask[windows[clips], block] = False
+    windows = np.concatenate([windows, windows[:1]])
+    blank = {view: np.append(clips, 5) if 0 in clips else clips for view, clips in chosen.items()}
+    return params, frames, frame_mask, windows, blank
+
+
+def spy_lstm_rows(monkeypatch):
+    """The batch size of every later `lstm_forward` call, in call order."""
+    rows, real = [], model_module.lstm_forward
+
+    def spy(h_seq, layers):
+        rows.append(len(h_seq))
+        return real(h_seq, layers)
+
+    monkeypatch.setattr(model_module, "lstm_forward", spy)
+    return rows
+
+
+class TestBlankViewSharing:
+    """Clips that see no object of a view share one LSTM row in that view, and nothing else changes."""
+
+    @pytest.mark.parametrize("n_blank", [0, 1, 2, 5])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("variant", ["full", "base_t"])
+    def test_probabilities_match_reference_model(self, variant, K, n_blank):
+        params, frames, frame_mask, windows, blank = blank_view_case(variant, K, n_blank)
+        for view, block in params.config.views():
+            found = np.flatnonzero((~frame_mask[:, block].any(axis=1))[windows].all(axis=1))
+            np.testing.assert_array_equal(found, blank.get(view, []))
+        expected = reference_forward(frames[windows], frame_mask[windows], params)
+        probs, _, _ = model_forward(frames, frame_mask, params, windows)
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+        low, _, _ = model_forward(frames.astype(np.float32), frame_mask, params.clone(np.float32), windows)
+        assert low.dtype == np.float32
+        np.testing.assert_allclose(low, probs, rtol=64 * np.finfo(np.float32).eps, atol=0)
+
+    @pytest.mark.parametrize("n_blank", [0, 1, 2, 5])
+    @pytest.mark.parametrize("variant", ["full", "base_t"])
+    def test_lstm_runs_one_row_for_all_blank_clips(self, variant, n_blank, monkeypatch):
+        params, frames, frame_mask, windows, blank = blank_view_case(variant, 1, n_blank)
+        rows = spy_lstm_rows(monkeypatch)
+        model_forward(frames, frame_mask, params, windows)
+        b = len(windows)
+        expected = [
+            b - len(blank.get(view, [])) + 1 if len(blank.get(view, [])) > 1 else b
+            for view, _ in params.config.views()
+        ]
+        assert rows == expected
+
+    def test_a_single_clip_skips_the_blank_mask(self, monkeypatch):
+        params, frames, frame_mask, windows, _ = blank_view_case("full", 1, 5)
+        rows = spy_lstm_rows(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("the blank mask was built for a single clip")
+
+        monkeypatch.setattr(model_module, "_blank_clips", refuse)
+        model_forward(frames[windows[:1]], frame_mask[windows[:1]], params)
+        assert rows == [1, 1, 1]
+
+    def test_gradient_check_with_blank_clips_in_two_views(self):
+        """Clips 0 and 1 and the repeat of clip 0 are blank in the pedestrian view, clips 3 and 4 in the traffic view.
+
+        The graph biases are 0.05, not 0: the traffic view has one slot, and with a
+        zero bias a one-node graph whose first-layer outputs are all zero sits on
+        the ReLU kink, where a central difference reads half the one-sided slope
+        and `graph.traffic.1.bias` a relative error of 1.0, with or without sharing.
+        """
+        cfg = ModelConfig(
+            T=2, K=1, quota=TINY_QUOTA, graph_widths=(3, 4), lstm_hidden=4,
+            mlp_widths=(4, 4), variant="full",
+        )
+        rng = np.random.default_rng(6)
+        params = init_params(cfg, seed=6)
+        for _, arr in params.named_arrays():
+            arr += rng.normal(scale=0.05, size=arr.shape)
+        for layers in params.graph.values():
+            for layer in layers:
+                layer.bias[...] = 0.05
+        frames = rng.uniform(0.0, 1.0, size=(11, TINY_QUOTA.total, 4))
+        frame_mask = np.ones(frames.shape[:2], dtype=bool)
+        windows = np.concatenate([np.arange(10).reshape(5, 2), [[0, 1]]])
+        slices = TINY_QUOTA.slices()
+        frame_mask[0:4, slices["pedestrian"]] = False
+        frame_mask[6:10, slices["traffic"]] = False
+        frame_mask[4, slices["traffic"]] = False  # clip 2 is not blank in any view
+        frames[~frame_mask] = 0.0
+        for view, clips in (("pedestrian", [0, 1, 5]), ("traffic", [3, 4])):
+            found = np.flatnonzero((~frame_mask[:, slices[view]].any(axis=1))[windows].all(axis=1))
+            np.testing.assert_array_equal(found, clips)
+        labels = rng.integers(0, 4, size=len(windows))
+        worst = gradient_check(frames, frame_mask, labels, params, windows=windows)
+        assert max(worst.values()) <= 1e-4, worst
 
 
 class TestCacheFreeForward:
