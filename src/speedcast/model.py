@@ -299,7 +299,7 @@ def lstm_forward(
         w = layer.weights * scale
         wx, wh = w[: layer.in_dim], w[layer.in_dim :]
         gates = np.empty((t_len, b, 4 * hid), dtype=dtype)
-        np.matmul(x.reshape(t_len * b, -1), wx, out=gates.reshape(t_len * b, 4 * hid))
+        np.matmul(x.reshape(t_len * b, layer.in_dim), wx, out=gates.reshape(t_len * b, 4 * hid))
         gates += layer.bias * scale
         blocks = gates.reshape(t_len, b, 4, hid).transpose(0, 2, 1, 3)
         c = np.empty((t_len, b, hid), dtype=dtype)
@@ -427,32 +427,24 @@ def encode_view(
     clips' steps go through the view's LSTM or, without one, are flattened. A
     frame with no real node in the view pools to the zero vector, so every clip
     whose steps all read such frames (a blank clip) has the same all-zero
-    sequence. When two or more clips of a batch are blank, the LSTM runs on the
-    other clips and the first blank one only, and every blank clip takes that
-    clip's vector. The cache is (graph cache, LSTM cache or None for a flatten,
-    blank clips or None): the blank clips are their indices in increasing order,
-    None when the LSTM saw every clip.
+    sequence. The LSTM runs on every clip but the blank ones after the first,
+    which take the first blank clip's vector; with at most one blank clip it
+    runs on all of them. The cache is (graph cache, LSTM cache, the clips the
+    LSTM ran as a (B,) mask, each clip's row of the LSTM batch as a (B,) index),
+    the last three None for a flatten.
     """
     pooled, spatial = spatial_encode_forward(frames, mask, params.graph[view])
     if not params.config.temporal:
-        return pooled[windows].reshape(len(windows), -1), (spatial, None, None)
-    blank = _blank_clips(mask, windows) if len(windows) > 1 else None
-    if blank is None:
-        vector, lstm = lstm_forward(pooled[windows], params.lstm[view])
-        return vector, (spatial, lstm, None)
-    # Every clip before blank[0] runs, so blank[0] is also its row of the LSTM batch.
-    run = np.ones(len(windows), dtype=bool)
-    run[blank[1:]] = False
+        width = windows.shape[1] * pooled.shape[1]  # numpy cannot infer -1 for zero clips
+        return pooled[windows].reshape(len(windows), width), (spatial, None, None, None)
+    blank = (~mask.any(axis=1))[windows].all(axis=1)
+    first = blank.argmax() if blank.any() else len(blank)  # the first blank clip, or past the last one
+    run = ~blank
+    run[first : first + 1] = True
     vector, lstm = lstm_forward(pooled[windows[run]], params.lstm[view])
-    row = np.cumsum(run) - 1
-    row[blank] = blank[0]
-    return vector[row], (spatial, lstm, blank)
-
-
-def _blank_clips(mask: np.ndarray, windows: np.ndarray) -> Optional[np.ndarray]:
-    """Indices of the clips each step of which reads a frame with no real node in `mask`, or None if fewer than two."""
-    blank = np.flatnonzero((~mask.any(axis=1))[windows].all(axis=1))
-    return blank if len(blank) > 1 else None
+    row = run.cumsum() - 1
+    row[blank] = first  # every clip before the first blank one runs
+    return vector[row], (spatial, lstm, run, row)
 
 
 def encode_view_backward(
@@ -462,26 +454,20 @@ def encode_view_backward(
 
     `frames` groups the flat clip steps by the frame they read. Each frame's
     pooled gradient is the sum over those steps, added in `Segments.sum`'s order.
-    With blank clips in the cache, BPTT runs once on the clips the forward ran,
-    the first blank clip's final gradient being the sum of every blank clip's
-    `dv`: BPTT is linear in it along their shared forward path. The steps of a
-    blank clip read only frames with no real node, whose pooled gradient
-    `spatial_encode_backward` drops, so their gradient is written as zeros.
+    BPTT runs once on the clips the forward ran, the shared blank row's final
+    gradient being the sum of its clips' `dv` in clip order: BPTT is linear in
+    it along their shared forward path. Each clip's step gradients are its
+    row's; a blank clip's steps read only frames with no real node, whose
+    pooled gradient `spatial_encode_backward` never reads.
     """
-    spatial, lstm, blank = cache
+    spatial, lstm, run, row = cache
     if lstm is None:
         dsteps, lstm_grads = dv, []
-    elif blank is None:
-        dsteps, lstm_grads = lstm_backward(dv, lstm, params.lstm[view])
     else:
-        run = np.ones(len(dv), dtype=bool)
-        run[blank[1:]] = False
         d_final = dv[run]
-        d_final[blank[0]] = dv[blank].sum(axis=0)  # its row, as in the forward
+        np.add.at(d_final, row[~run], dv[~run])  # later blank clips onto the shared row, in clip order
         dseq, lstm_grads = lstm_backward(d_final, lstm, params.lstm[view])
-        dsteps = np.zeros((len(dv),) + dseq.shape[1:], dtype=dseq.dtype)
-        dsteps[run] = dseq
-        dsteps[blank[0]] = 0.0
+        dsteps = dseq[row]
     dsteps = dsteps.reshape(-1, params.config.pooled_dim)
     dpooled = frames.scatter(frames.sum(dsteps[frames.rows]))
     graph_grads = spatial_encode_backward(dpooled, spatial, params.graph[view])

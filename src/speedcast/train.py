@@ -39,8 +39,11 @@ def batch_loss(
 ) -> float:
     """Mean cross-entropy of one batch, computed in the log domain.
 
-    The batch is a frame table with `windows` or expanded clips, as in `model_forward`.
+    The batch is a frame table with `windows` or expanded clips, as in
+    `model_forward`. An empty batch raises InvalidConfigError.
     """
+    if len(labels) == 0:
+        raise InvalidConfigError("empty batch")
     _, logits, _ = model_forward(features, mask, params, windows, keep_cache=False)
     return _mean_cross_entropy(logits, labels)
 

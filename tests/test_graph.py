@@ -1,5 +1,6 @@
 """Graph operators: Laplacians, Chebyshev filtering, masked pooling."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,34 @@ class TestMaskedPooling:
         _, cache = spatial_encode_forward(y, mask, layers)
         grads = spatial_encode_backward(np.ones((1, 1, 2)), cache, layers)
         assert all(np.all(dw == 0.0) and np.all(db == 0.0) for dw, db in grads)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_backward_never_reads_frames_without_a_real_node(self, K, dtype):
+        """NaN in the pooled gradient of a frame with no real node changes no bit of any gradient.
+
+        The model's backward leaves whatever its clips' steps sum to in such rows.
+        """
+        rng = np.random.default_rng(K)
+        mask = rng.uniform(size=(12, 5)) < 0.6
+        mask[[0, 4, 5, 11]] = False
+        empty = ~mask.any(axis=1)
+        x = rng.normal(size=mask.shape + (4,)).astype(dtype)
+        x[~mask] = 0.0
+        layers = [
+            ChebLayerParams(weights=layer.weights.astype(dtype), bias=layer.bias.astype(dtype))
+            for layer in (random_layer(rng, K, 4, 6), random_layer(rng, K, 6, 8))
+        ]
+        dpooled = rng.normal(size=(12, 8)).astype(dtype)
+        results = []
+        for fill in (0.0, np.nan):
+            dpooled[empty] = fill
+            _, cache = spatial_encode_forward(x, mask, layers)
+            results.append(spatial_encode_backward(dpooled, cache, layers))
+        for (dw, db), (dw_nan, db_nan) in zip(*results):
+            for grad, grad_nan in ((dw, dw_nan), (db, db_nan)):
+                assert grad.dtype == dtype and np.isfinite(grad_nan).all()
+                assert grad_nan.tobytes() == grad.tobytes()
 
 
 @st.composite

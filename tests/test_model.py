@@ -31,8 +31,9 @@ from speedcast.model import (
     save_checkpoint,
     softmax,
 )
-from speedcast.train import gradient_check
-from speedcast.types import CategoryQuota
+from speedcast.evaluation import predict
+from speedcast.train import batch_loss, gradient_check
+from speedcast.types import NUM_ACTIONS, CategoryQuota
 
 from conftest import TINY_QUOTA, central_difference_errors, random_batch
 from oracles import cell_step_loop, reference_forward
@@ -485,17 +486,10 @@ class TestBlankViewSharing:
             for view, _ in params.config.views()
         ]
         assert rows == expected
-
-    def test_a_single_clip_skips_the_blank_mask(self, monkeypatch):
-        params, frames, frame_mask, windows, _ = blank_view_case("full", 1, 5)
-        rows = spy_lstm_rows(monkeypatch)
-
-        def refuse(*args):
-            raise AssertionError("the blank mask was built for a single clip")
-
-        monkeypatch.setattr(model_module, "_blank_clips", refuse)
-        model_forward(frames[windows[:1]], frame_mask[windows[:1]], params)
-        assert rows == [1, 1, 1]
+        # Clip 0 alone, blank in a view where `n_blank` puts it there, takes the same path.
+        rows.clear()
+        model_forward(frames, frame_mask, params, windows[:1])
+        assert rows == [1] * len(params.config.views())
 
     def test_gradient_check_with_blank_clips_in_two_views(self):
         """Clips 0 and 1 and the repeat of clip 0 are blank in the pedestrian view, clips 3 and 4 in the traffic view.
@@ -628,6 +622,21 @@ class TestStages:
             after = [encode_view(perturbed[:, b], frame_mask[:, b], windows, params, v)[0] for v, b in views]
             for j, (vector, unchanged) in enumerate(zip(after, before)):
                 assert (vector.tobytes() == unchanged.tobytes()) == (j != i), (views[i][0], views[j][0])
+
+
+class TestEmptyBatch:
+    """A batch of zero clips gives (0, 4) outputs, and a loss over it is a config error."""
+
+    @pytest.mark.parametrize("table", [False, True], ids=["expanded", "frame_table"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_clips(self, variant, table):
+        params, (features, mask), (frames, frame_mask, windows) = stage_case(variant, 1, np.float64)
+        args = (frames, frame_mask, params, windows[:0]) if table else (features[:0], mask[:0], params)
+        probs, logits, _ = model_forward(*args)
+        assert probs.shape == logits.shape == (0, NUM_ACTIONS)
+        with pytest.raises(InvalidConfigError, match="empty batch"):
+            batch_loss(*args[:2], np.empty(0, dtype=np.int64), *args[2:])
+        assert predict(params, features[:0], mask[:0]).shape == (0,)
 
 
 def float_dtypes(obj, path="cache"):
